@@ -9,6 +9,7 @@ matrices print as "re im" pairs, real output as plain values.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -25,8 +26,8 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-# Hermiticity/trace defect beyond which an input file is rejected as not
-# being a density matrix.
+# Hermiticity/trace defect, or negative eigenvalue, beyond which an input
+# file is rejected as not being a density matrix.
 DENSITY_DEFECT_TOL = 1e-8
 
 
@@ -45,22 +46,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+_format_value = "{:.12g}".format
+
+
 def _fmt(x: float) -> str:
     return f"{x + 0.0:.12g}"
 
 
 def _print_vector(v) -> None:
-    print(" ".join(_fmt(x) for x in v))
+    _print_matrix(np.asarray(v)[np.newaxis])
 
 
 def _print_matrix(m) -> None:
     m = np.asarray(m)
     if np.iscomplexobj(m) and np.any(m.imag != 0.0):
-        for row in m:
-            print(" ".join(f"{_fmt(v.real)} {_fmt(v.imag)}" for v in row))
-    else:
-        for row in m.real if np.iscomplexobj(m) else m:
-            print(" ".join(_fmt(v) for v in row))
+        m = np.stack((m.real, m.imag), axis=-1).reshape(m.shape[0], -1)
+    # "+ 0.0" turns -0.0 into 0.0; tolist() hands plain floats to the formatter.
+    for row in (m.real + 0.0).tolist():
+        print(" ".join(map(_format_value, row)))
 
 
 def _load_bipartite(path):
@@ -105,11 +108,16 @@ def _cmd_corrmat(args) -> int:
 def _cmd_discord(args) -> int:
     rho, da, db = _load_bipartite(args.input)
     report = check_density(rho)
-    if report.hermiticity_defect > DENSITY_DEFECT_TOL or report.trace_defect > DENSITY_DEFECT_TOL:
+    if (
+        report.hermiticity_defect > DENSITY_DEFECT_TOL
+        or report.trace_defect > DENSITY_DEFECT_TOL
+        or report.min_eigenvalue < -DENSITY_DEFECT_TOL
+    ):
         raise DataError(
             f"{args.input}: not a density matrix "
             f"(hermiticity defect {report.hermiticity_defect:.3e}, "
-            f"trace defect {report.trace_defect:.3e})"
+            f"trace defect {report.trace_defect:.3e}, "
+            f"min eigenvalue {report.min_eigenvalue:.3e})"
         )
     if args.measure == "purity":
         marginal = ptrace_b(rho, da, db) if args.subsys == "a" else ptrace_a(rho, da, db)
@@ -211,10 +219,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args returns a fresh Namespace and leaves the parser unchanged,
+    # so one parser serves every main() call in the process.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,12 +1,15 @@
 """Plain-text density-matrix files.
 
 Line 1 is a header "da db" (db = 0 marks a single-system matrix); every
-following line is one matrix entry "re im", row-major. Lines starting with
-'#' and blank lines are ignored. Explicit real/imag columns keep the format
-trivially parseable from any language.
+following line is one matrix entry "re im", row-major, as two finite ASCII
+decimal numbers. Lines starting with '#' and blank lines are ignored, and a
+'#' after an entry starts a comment. Explicit real/imag columns keep the
+format trivially parseable from any language.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -17,22 +20,50 @@ class MatrixFileError(ValueError):
     """Malformed matrix file; the message names the offending line."""
 
 
-def _significant_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+def _significant_lines(lines: list[str], start: int = 0):
+    for index in range(start, len(lines)):
+        line = lines[index].strip()
         if not line or line.startswith("#"):
             continue
-        yield lineno, line
+        yield index + 1, line
+
+
+def _token_float(token: str) -> float:
+    # float() also takes non-ASCII digits and '_' digit separators, which
+    # numpy's text reader rejects; refuse them here too so both agree.
+    if not token.isascii() or "_" in token:
+        raise ValueError(token)
+    return float(token)
+
+
+def _entry_error(path, lines: list[str], start: int, expected: int) -> MatrixFileError:
+    """Name the first faulty entry after the header, once numpy has rejected the body."""
+    count = 0
+    for lineno, line in _significant_lines(lines, start):
+        where = f"{path}: line {lineno}"
+        if count >= expected:
+            return MatrixFileError(f"{where}: expected {expected} entries, found more")
+        fields = line.split("#", 1)[0].split()
+        if len(fields) != 2:
+            return MatrixFileError(f"{where}: entry must be 're im', got {line!r}")
+        try:
+            values = [_token_float(field) for field in fields]
+        except ValueError:
+            return MatrixFileError(f"{where}: non-numeric token in {line!r}")
+        if not all(map(math.isfinite, values)):
+            return MatrixFileError(f"{where}: non-finite value in {line!r}")
+        count += 1
+    return MatrixFileError(f"{path}: expected {expected} entries, got {count}")
 
 
 def parse_matrix_file(path) -> tuple[np.ndarray, int, int]:
     """Read a matrix file, returning (matrix, da, db) with db = 0 for single-system."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = _significant_lines(text)
+        lines = fh.read().splitlines()
+    significant = _significant_lines(lines)
 
     try:
-        lineno, header = next(lines)
+        lineno, header = next(significant)
     except StopIteration:
         raise MatrixFileError(f"{path}: empty file, expected a 'da db' header") from None
     fields = header.split()
@@ -49,28 +80,17 @@ def parse_matrix_file(path) -> tuple[np.ndarray, int, int]:
 
     n = da * max(db, 1)
     expected = n * n
-    entries = np.empty(expected, dtype=complex)
-    count = 0
-    for lineno, line in lines:
-        if count >= expected:
-            raise MatrixFileError(
-                f"{path}: line {lineno}: expected {expected} entries, found more"
-            )
-        fields = line.split()
-        if len(fields) != 2:
-            raise MatrixFileError(
-                f"{path}: line {lineno}: entry must be 're im', got {line!r}"
-            )
+    # An empty body would make loadtxt warn; the scan below reports it instead.
+    if next(significant, None) is not None:
         try:
-            entries[count] = complex(float(fields[0]), float(fields[1]))
+            data = np.loadtxt(lines[lineno:], dtype=float, comments="#", ndmin=2)
         except ValueError:
-            raise MatrixFileError(
-                f"{path}: line {lineno}: non-numeric token in {line!r}"
-            ) from None
-        count += 1
-    if count != expected:
-        raise MatrixFileError(f"{path}: expected {expected} entries, got {count}")
-    return entries.reshape(n, n), da, db
+            data = None
+        # The shape is checked before anything of size n^2 exists, so a header
+        # claiming more entries than the file holds costs nothing to reject.
+        if data is not None and data.shape == (expected, 2) and np.isfinite(data).all():
+            return data.view(complex).reshape(n, n), da, db
+    raise _entry_error(path, lines, lineno, expected)
 
 
 def write_matrix_file(path, rho, da: int, db: int = 0) -> None:

@@ -4,7 +4,15 @@ import sys
 import numpy as np
 import pytest
 
-from quditcorr import bell_state, random_density, werner_state, write_matrix_file
+from quditcorr import (
+    bell_state,
+    bloch_of_subsystem,
+    corrmat_opt,
+    random_density,
+    werner_state,
+    write_matrix_file,
+)
+from quditcorr import cli
 from quditcorr.cli import main
 
 
@@ -187,6 +195,109 @@ class TestBenchCommand:
     def test_bad_trials_is_usage_error(self, tmp_path):
         assert main(["bench", "--dims", "2x2", "--trials", "0",
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+
+def _per_element_rows(m):
+    """Reference layout: every element formatted on its own with cli._fmt."""
+    m = np.atleast_2d(m)
+    if np.iscomplexobj(m) and np.any(m.imag != 0.0):
+        return [" ".join(f"{cli._fmt(v.real)} {cli._fmt(v.imag)}" for v in row) for row in m]
+    return [" ".join(cli._fmt(v) for v in row) for row in m.real]
+
+
+class TestRowPrinting:
+    def test_large_file_matches_per_element_format(self, tmp_path, capsys):
+        rho = random_density(48, 5)
+        path = tmp_path / "big.mat"
+        write_matrix_file(path, rho, 2, 24)
+        f = str(path)
+        cases = [
+            (["bloch", "--input", f, "--subsys", "a"], bloch_of_subsystem(rho, 2, 24, "a")),
+            (["bloch", "--input", f, "--subsys", "b"], bloch_of_subsystem(rho, 2, 24, "b")),
+            (["corrmat", "--input", f], corrmat_opt(rho, 2, 24)),
+        ]
+        for argv, value in cases:
+            assert main(argv) == 0
+            expected = "".join(line + "\n" for line in _per_element_rows(value))
+            assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("m", [
+        np.array([[-0.0, 1.5e-13], [1 / 3, -2.0e7]]),
+        np.array([[1 + 0j, -0.0 - 1j], [1j, 2.5 + 0j]]),
+        np.array([[1 + 0j, 0j], [0j, -1 + 0j]]),
+    ])
+    def test_print_matrix_matches_per_element_format(self, capsys, m):
+        cli._print_matrix(m)
+        assert capsys.readouterr().out.splitlines() == _per_element_rows(m)
+
+
+class TestParserReuse:
+    CALLS = [
+        ["gellmann", "--dim", "3", "--group", "2", "--k", "1", "--l", "3"],
+        ["bloch", "--input", "{f}", "--subsys", "b"],
+        ["gellmann", "--dim", "2", "--group", "1", "--k", "1", "--frob"],
+        ["corrmat", "--input", "{f}"],
+        ["discord", "--measure", "hsa", "--subsys", "a", "--input", "{f}"],
+        ["bloch", "--input", "{f}"],
+        ["discord", "--measure", "purity", "--input", "{f}"],
+        [],
+        ["corrmat", "--input", "{f}", "--naive"],
+        ["discord", "--measure", "hs", "--subsys", "b", "--input", "{f}"],
+    ]
+
+    def _run_all(self, capsys, path):
+        results = []
+        for argv in self.CALLS:
+            code = main([arg.format(f=path) for arg in argv])
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    def test_one_parser_serves_every_call(self, random_file, capsys, monkeypatch):
+        assert cli._parser() is cli._parser()
+        reused = self._run_all(capsys, random_file)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = self._run_all(capsys, random_file)
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 1, 0, 0, 0, 0, 1, 0, 0]
+
+
+class TestInvalidInputs:
+    def _nan_file(self, tmp_path):
+        rho = random_density(6, 3)
+        rho[1, 4] = np.nan
+        path = tmp_path / "nan.mat"
+        write_matrix_file(path, rho, 2, 3)
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["bloch", "--input", "{f}"],
+        ["corrmat", "--input", "{f}"],
+        ["discord", "--measure", "hs", "--subsys", "a", "--input", "{f}"],
+    ])
+    def test_nan_entry_is_data_error(self, tmp_path, capsys, argv):
+        path = self._nan_file(tmp_path)
+        assert main([arg.format(f=path) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 12: non-finite value" in captured.err
+
+    def test_huge_header_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.mat"
+        path.write_text("3000 3000\n0.5 0\n")
+        assert main(["corrmat", "--input", str(path)]) == 2
+        assert "expected 81000000000000 entries, got 1" in capsys.readouterr().err
+
+    def test_discord_rejects_non_positive_matrix(self, tmp_path, capsys):
+        rng = np.random.default_rng(11)
+        u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        nonpos = (u * np.array([0.5, 0.3, 0.3, -0.1])) @ u.conj().T
+        path = tmp_path / "nonpos.mat"
+        write_matrix_file(path, nonpos, 2, 2)
+        assert main(["discord", "--measure", "hs", "--subsys", "a", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "not a density matrix" in err
+        assert "min eigenvalue -1.000e-01" in err
 
 
 class TestUsageErrors:

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from quditcorr import MatrixFileError, parse_matrix_file, random_density, write_matrix_file
@@ -28,6 +32,7 @@ def test_parse_single_system(tmp_path):
 def test_comments_and_blanks_ignored(tmp_path):
     path = tmp_path / "commented.mat"
     body = _entries(np.eye(4) / 4).splitlines()
+    body[0] += "  # inline comment after an entry"
     text = "# density matrix\n\n2 2\n" + "\n# middle\n".join(body) + "\n"
     path.write_text(text)
     rho, _, _ = parse_matrix_file(path)
@@ -38,6 +43,30 @@ def test_missing_entries_reports_count(tmp_path):
     path = tmp_path / "short.mat"
     path.write_text("2 2\n" + "0 0\n" * 15)
     with pytest.raises(MatrixFileError, match="expected 16 entries"):
+        parse_matrix_file(path)
+
+
+def test_empty_body_reports_count_without_warning(tmp_path):
+    path = tmp_path / "empty.mat"
+    path.write_text("2 2\n# no entries\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MatrixFileError, match="expected 16 entries, got 0"):
+            parse_matrix_file(path)
+
+
+def test_header_checked_against_entries_before_allocating(tmp_path):
+    path = tmp_path / "huge.mat"
+    path.write_text("3000 3000\n0.5 0\n")
+    with pytest.raises(MatrixFileError, match="expected 81000000000000 entries, got 1"):
+        parse_matrix_file(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf", "inf", "1e400"])
+def test_non_finite_entry_names_line(tmp_path, value):
+    path = tmp_path / "nonfinite.mat"
+    path.write_text(f"2 0\n1 0\n# comment\n0 0\n{value} 0\n0 0\n")
+    with pytest.raises(MatrixFileError, match="line 5: non-finite value"):
         parse_matrix_file(path)
 
 
@@ -52,6 +81,14 @@ def test_non_numeric_token_names_line(tmp_path):
     path = tmp_path / "bad.mat"
     path.write_text("2 0\n1 0\n0 zero\n0 0\n1 0\n")
     with pytest.raises(MatrixFileError, match="line 3"):
+        parse_matrix_file(path)
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0661"])
+def test_underscore_and_non_ascii_digits_name_line(tmp_path, token):
+    path = tmp_path / "bad.mat"
+    path.write_text(f"2 0\n1 0\n0 {token}\n0 0\n1 0\n", encoding="utf-8")
+    with pytest.raises(MatrixFileError, match="line 3: non-numeric"):
         parse_matrix_file(path)
 
 
@@ -89,3 +126,37 @@ def test_write_parse_round_trip(tmp_path):
 def test_write_rejects_shape_mismatch(tmp_path):
     with pytest.raises(ValueError):
         write_matrix_file(tmp_path / "bad.mat", np.eye(4), 2, 3)
+
+
+_FILLER_LINES = ["", "   ", "# comment", "\t# indented comment"]
+
+
+@seed(20160317)
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    da=st.integers(1, 6),
+    db=st.sampled_from([0, 2, 3, 4, 5, 6]),
+    specials=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8),
+    rng_seed=st.integers(0, 2**32 - 1),
+)
+def test_write_parse_round_trip_is_bit_exact(tmp_path_factory, da, db, specials, rng_seed):
+    rng = np.random.default_rng(rng_seed)
+    n = da * max(db, 1)
+    parts = rng.standard_normal((n, n, 2)) * 10.0 ** rng.integers(-300, 300, (n, n, 2))
+    flat = parts.reshape(-1)
+    flat[rng.integers(0, flat.size, len(specials))] = specials
+    rho = parts.view(complex)[..., 0]
+
+    path = tmp_path_factory.mktemp("rt") / "rt.mat"
+    write_matrix_file(path, rho, da, db)
+    lines = path.read_text().splitlines()
+    for i in range(1, len(lines)):
+        if rng.random() < 0.2:
+            lines[i] += " # inline"
+    for _ in range(rng.integers(0, 2 * n)):
+        lines.insert(int(rng.integers(0, len(lines) + 1)), str(rng.choice(_FILLER_LINES)))
+    path.write_text("\n".join(lines) + "\n")
+
+    back, got_da, got_db = parse_matrix_file(path)
+    assert (got_da, got_db) == (da, db)
+    assert back.tobytes() == rho.tobytes()
