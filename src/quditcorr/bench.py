@@ -126,14 +126,14 @@ def werner_analytic(d: int, w: float) -> float:
     return (d * w - 1) ** 2 / ((d - 1) * (d + 1) ** 2)
 
 
-def _sweep_point(point: tuple[int, float]) -> tuple[int, float, float, float, float]:
-    d, w = point
-    rep = discord_hsa(werner_state(d, w), d, d, "a")
-    return d, w, rep.hs_value, rep.hsa_value, werner_analytic(d, w)
+# Most density-matrix entries one stacked discord call of the Werner sweep
+# holds: the whole w grid for small d, a few states per call for large d,
+# so that the sweep's memory stays bounded however large d gets.
+_SWEEP_CHUNK_ENTRIES = 2**14
 
 
 def werner_sweep(
-    dmin: int, dmax: int, wsteps: int, parallel: bool = False
+    dmin: int, dmax: int, wsteps: int
 ) -> list[tuple[int, float, float, float, float]]:
     """Rows (d, w, hs_numeric, hsa_numeric, hsa_analytic) over a uniform w grid."""
     if dmin < 2:
@@ -142,10 +142,13 @@ def werner_sweep(
         raise ValueError(f"dmax must be >= dmin, got {dmax} < {dmin}")
     if wsteps < 2:
         raise ValueError(f"wsteps must be >= 2, got {wsteps}")
-    points = [(d, w) for d in range(dmin, dmax + 1) for w in np.linspace(-1.0, 1.0, wsteps)]
-    if parallel:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor() as pool:
-            return list(pool.map(_sweep_point, points))
-    return [_sweep_point(p) for p in points]
+    grid = np.linspace(-1.0, 1.0, wsteps)
+    rows = []
+    for d in range(dmin, dmax + 1):
+        chunk = max(1, _SWEEP_CHUNK_ENTRIES // d**4)
+        for start in range(0, wsteps, chunk):
+            ws = grid[start : start + chunk]
+            rep = discord_hsa(werner_state(d, ws), d, d, "a")
+            for w, hs, hsa in zip(ws.tolist(), rep.hs_value.tolist(), rep.hsa_value.tolist()):
+                rows.append((d, w, hs, hsa, werner_analytic(d, w)))
+    return rows

@@ -66,6 +66,14 @@ def _print_matrix(m) -> None:
         print(" ".join(map(_format_value, row)))
 
 
+def _require_hermitian(path, rho) -> None:
+    # The cheap part of the density check: bloch and corrmat read only one
+    # triangle of rho, so a non-Hermitian file would otherwise get an answer.
+    defect = float(np.max(np.abs(rho - rho.conj().T)))
+    if defect > DENSITY_DEFECT_TOL:
+        raise DataError(f"{path}: not a density matrix (hermiticity defect {defect:.3e})")
+
+
 def _load_bipartite(path):
     rho, da, db = parse_matrix_file(path)
     if db == 0:
@@ -86,6 +94,7 @@ def _cmd_gellmann(args) -> int:
 
 def _cmd_bloch(args) -> int:
     rho, da, db = parse_matrix_file(args.input)
+    _require_hermitian(args.input, rho)
     if db == 0:
         rho_s = rho
     elif args.subsys == "a":
@@ -100,6 +109,7 @@ def _cmd_bloch(args) -> int:
 
 def _cmd_corrmat(args) -> int:
     rho, da, db = _load_bipartite(args.input)
+    _require_hermitian(args.input, rho)
     c = corrmat_naive(rho, da, db) if args.naive else corrmat_opt(rho, da, db)
     _print_matrix(c)
     return EXIT_OK
@@ -131,7 +141,7 @@ def _cmd_discord(args) -> int:
 
 def _cmd_werner_sweep(args) -> int:
     try:
-        rows = werner_sweep(args.dmin, args.dmax, args.wsteps, parallel=args.parallel)
+        rows = werner_sweep(args.dmin, args.dmax, args.wsteps)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -204,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dmax", type=int, required=True)
     p.add_argument("--wsteps", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--parallel", action="store_true", help="spread sweep points over workers")
     p.set_defaults(func=_cmd_werner_sweep)
 
     p = sub.add_parser("bench", help="CSV timing of naive vs optimized pipelines")

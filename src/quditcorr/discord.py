@@ -19,6 +19,9 @@ sum_j p_j |a_j><a_j| x rho_j.
 The variational definition of the Hilbert-Schmidt discord (a minimum over
 classical-quantum states) is not solved here; the closed-form eigenvalue
 expression above is what this module computes and reports.
+
+Every function here also takes a stack of states (or of Bloch vectors and
+correlation matrices) along leading axes and returns one result per state.
 """
 
 from __future__ import annotations
@@ -39,38 +42,50 @@ class DiscordReport:
 
     hs_value is the eigenvalue tail sum (clamped at zero), purity_other the
     purity of the untouched marginal, and hsa_value = hs_value/purity_other.
+    For one state the values are floats and xi_eigenvalues is 1-D; for a
+    stack of states they are arrays shaped like the stack's leading axes,
+    and xi_eigenvalues has one more axis.
     """
 
     side: str
     xi_eigenvalues: np.ndarray
-    hs_value: float
-    purity_other: float
-    hsa_value: float
+    hs_value: float | np.ndarray
+    purity_other: float | np.ndarray
+    hsa_value: float | np.ndarray
 
 
-def purity(rho_s) -> float:
+def purity(rho_s) -> float | np.ndarray:
     """P(rho) = sum_jk |rho_jk|^2, which equals Tr(rho^2) for Hermitian rho."""
     rho_s = np.asarray(rho_s)
-    if rho_s.ndim != 2 or rho_s.shape[0] != rho_s.shape[1]:
+    if rho_s.ndim < 2 or rho_s.shape[-1] != rho_s.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {np.shape(rho_s)}")
-    return float(np.sum(np.abs(rho_s) ** 2))
+    p = np.sum(np.abs(rho_s) ** 2, axis=(-2, -1))
+    return float(p) if p.ndim == 0 else p
 
 
 def xi_matrix(a, c, d_other: int) -> np.ndarray:
     """Xi = (2/(d^2 d_other)) (a a^t + (2/d_other) C C^t) for the side owning a.
 
     For side b pass the side-b Bloch vector together with C transposed.
+    A stack of vectors (..., n) with matching matrices (..., n, m) gives a
+    stack of Xi, one per leading index.
     """
-    a = np.asarray(a, dtype=float).ravel()
+    a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
-    d = round(np.sqrt(a.size + 1))
-    if d < 2 or d * d - 1 != a.size:
-        raise ValueError(f"Bloch vector length {a.size} is not d^2-1 for any d >= 2")
+    n = a.shape[-1] if a.ndim else 0
+    d = round(np.sqrt(n + 1))
+    if d < 2 or d * d - 1 != n:
+        raise ValueError(f"Bloch vector length {n} is not d^2-1 for any d >= 2")
     if d_other < 2:
         raise ValueError(f"opposite dimension must be >= 2, got {d_other}")
-    if c.ndim != 2 or c.shape[0] != a.size:
+    if c.ndim != a.ndim + 1 or c.shape[-2] != n:
         raise ValueError(f"correlation matrix shape {c.shape} does not match side dim {d}")
-    return (2.0 / (d * d * d_other)) * (np.outer(a, a) + (2.0 / d_other) * (c @ c.T))
+    # Built in place in one array: (2/(d^2 d_other)) (a a^t + (2/d_other) C C^t).
+    xi = c @ np.swapaxes(c, -1, -2)
+    xi *= 2.0 / d_other
+    xi += a[..., :, None] * a[..., None, :]
+    xi *= 2.0 / (d * d * d_other)
+    return xi
 
 
 def _report(rho, da: int, db: int, side: str) -> DiscordReport:
@@ -84,13 +99,14 @@ def _report(rho, da: int, db: int, side: str) -> DiscordReport:
         d_side = da
     else:
         vec = bloch_opt(ptrace_a(rho, da, db))
-        xi = xi_matrix(vec, c.T, da)
+        xi = xi_matrix(vec, np.swapaxes(c, -1, -2), da)
         pur = purity(ptrace_b(rho, da, db))
         d_side = db
     lam = eig_sym(xi)
     # Tail sum over positions d_side..d_side^2-1 (1-based); noise can leave
     # it a hair negative, so clamp.
-    hs = max(0.0, float(lam[d_side - 1 :].sum()))
+    tail = lam[..., d_side - 1 :].sum(axis=-1)
+    hs = max(0.0, float(tail)) if lam.ndim == 1 else np.maximum(0.0, tail)
     return DiscordReport(side, lam, hs, pur, hs / pur)
 
 

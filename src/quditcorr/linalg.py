@@ -3,11 +3,14 @@
 Matrices are plain 2-D numpy arrays (complex128, row-major). Math indices
 in docstrings are 1-based, kets |k> run k = 1..d; storage is 0-based as
 usual. A bipartite basis ket |np> sits at flat index (n-1)*db + (p-1).
+The partial traces and ``eig_sym`` also take stacks of shape (..., n, n)
+and act on each matrix of the stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,11 +68,19 @@ def trace(a) -> complex:
     return complex(np.trace(_as_square(a)))
 
 
+def _as_square_stack(a) -> np.ndarray:
+    """A stack (..., n, n) of square matrices; a single matrix is a stack of one."""
+    a = np.asarray(a)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    return a
+
+
 def _as_bipartite(rho, da: int, db: int) -> np.ndarray:
-    rho = _as_square(rho)
+    rho = _as_square_stack(rho)
     if da < 1 or db < 1:
         raise ValueError(f"subsystem dimensions must be positive, got ({da}, {db})")
-    if rho.shape[0] != da * db:
+    if rho.shape[-1] != da * db:
         raise ValueError(
             f"matrix of shape {rho.shape} does not match subsystem dims ({da}, {db})"
         )
@@ -79,13 +90,13 @@ def _as_bipartite(rho, da: int, db: int) -> np.ndarray:
 def ptrace_b(rho, da: int, db: int) -> np.ndarray:
     """Trace out subsystem b: rho_a[m,n] = sum_p rho[(m-1)db+p, (n-1)db+p]."""
     rho = _as_bipartite(rho, da, db)
-    return np.trace(rho.reshape(da, db, da, db), axis1=1, axis2=3)
+    return np.trace(rho.reshape(*rho.shape[:-2], da, db, da, db), axis1=-3, axis2=-1)
 
 
 def ptrace_a(rho, da: int, db: int) -> np.ndarray:
     """Trace out subsystem a: rho_b[p,q] = sum_m rho[(m-1)db+p, (m-1)db+q]."""
     rho = _as_bipartite(rho, da, db)
-    return np.trace(rho.reshape(da, db, da, db), axis1=0, axis2=2)
+    return np.trace(rho.reshape(*rho.shape[:-2], da, db, da, db), axis1=-4, axis2=-2)
 
 
 def check_density(rho) -> DensityMatrixCheck:
@@ -102,6 +113,23 @@ def check_density(rho) -> DensityMatrixCheck:
     return DensityMatrixCheck(herm_defect, trace_defect, min_eig)
 
 
+def _norms(x) -> np.ndarray:
+    """Euclidean norm of each row, rounded as np.linalg.norm rounds one vector.
+
+    Both reduce with the same dot product, so a single matrix gets exactly
+    the threshold and first convergence test of the rotation loop.
+    """
+    return np.sqrt(np.vecdot(x, x))
+
+
+@lru_cache(maxsize=None)
+def _off_diagonal(n: int) -> np.ndarray:
+    """Flat row-major positions of the off-diagonal entries of an n x n matrix."""
+    idx = np.flatnonzero(~np.eye(n, dtype=bool))
+    idx.setflags(write=False)
+    return idx
+
+
 def eig_sym(m) -> np.ndarray:
     """Eigenvalues of a real symmetric matrix, sorted non-increasing.
 
@@ -109,17 +137,38 @@ def eig_sym(m) -> np.ndarray:
     drops below JACOBI_TOL times the Frobenius norm of the input. Inputs with
     symmetry defect above 1e-10 are rejected; smaller defects are absorbed by
     symmetrizing as (m + m^t)/2.
-    """
-    m = _as_square(np.asarray(m, dtype=float))
-    if np.max(np.abs(m - m.T), initial=0.0) > 1e-10:
-        raise ValueError("matrix is not symmetric within 1e-10")
-    a = (m + m.T) / 2.0
-    n = a.shape[0]
-    if n == 1:
-        return a.diagonal().copy()
 
-    fro = np.linalg.norm(a)
-    thresh = JACOBI_TOL * fro
+    A stack (..., n, n) gives eigenvalues of shape (..., n). The symmetry
+    check and the first convergence test run once over the whole stack; a
+    matrix that already passes the test returns its sorted diagonal, and
+    only the others go through the rotation loop, one at a time.
+    """
+    m = _as_square_stack(np.asarray(m, dtype=float))
+    mt = np.swapaxes(m, -1, -2)
+    if np.max(np.abs(m - mt), initial=0.0) > 1e-10:
+        raise ValueError("matrix is not symmetric within 1e-10")
+    a = m + mt
+    a /= 2.0
+    n = a.shape[-1]
+    diag = np.diagonal(a, axis1=-2, axis2=-1)
+    if n == 1:
+        return diag.copy()
+
+    flat = a.reshape(-1, n * n)
+    thresh = JACOBI_TOL * _norms(flat)
+    done = _norms(flat.take(_off_diagonal(n), axis=1)) <= thresh
+    lam = np.sort(diag, axis=-1)[..., ::-1]
+    if done.all():
+        return lam
+    lam = lam.reshape(-1, n)
+    for k in np.flatnonzero(~done):
+        lam[k] = _jacobi(flat[k].reshape(n, n), thresh[k])
+    return lam.reshape(diag.shape)
+
+
+def _jacobi(a, thresh) -> np.ndarray:
+    """Rotate the symmetric matrix a in place until its off-diagonal mass is below thresh."""
+    n = a.shape[0]
     off_mask = ~np.eye(n, dtype=bool)
     for _ in range(JACOBI_MAX_SWEEPS):
         if np.linalg.norm(a[off_mask]) <= thresh:

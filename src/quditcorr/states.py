@@ -33,16 +33,34 @@ def swap_operator(d: int) -> np.ndarray:
     return f
 
 
-def werner_state(d: int, w: float) -> np.ndarray:
+def werner_state(d: int, w) -> np.ndarray:
     """Werner state ((d-w) I + (dw-1) F) / (d(d^2-1)) on d x d, for w in [-1, 1].
 
-    Both marginals are maximally mixed, and Tr(F rho) = w.
+    Both marginals are maximally mixed, and Tr(F rho) = w. An array of w
+    gives a stack of states, shape w.shape + (d^2, d^2).
     """
     _check_dim(d)
-    if not -1.0 <= w <= 1.0:
-        raise ValueError(f"Werner parameter must lie in [-1, 1], got {w}")
-    norm = d * (d * d - 1)
-    return ((d - w) * np.eye(d * d, dtype=complex) + (d * w - 1) * swap_operator(d)) / norm
+    w = np.asarray(w, dtype=float)
+    inside = (w >= -1.0) & (w <= 1.0)
+    if not inside.all():
+        raise ValueError(f"Werner parameter must lie in [-1, 1], got {w[~inside]}")
+    # Entries are written straight into one zeroed array: the identity alone
+    # on |jk><jk| (j != k), the swap alone on |jk><kj|, both on |jj><jj|.
+    # Multiplying by 1/(d(d^2-1)) rounds exactly as dividing the complex
+    # matrix (d-w) I + (dw-1) F by d(d^2-1) does.
+    scale = 1.0 / (d * (d * d - 1))
+    same = (d - w)[..., None]
+    swap = (d * w - 1)[..., None]
+    j, k = np.divmod(np.arange(d * d), d)
+    mixed = j != k
+    jk = np.flatnonzero(mixed)
+    kj = (k * d + j)[mixed]
+    jj = np.flatnonzero(~mixed)
+    rho = np.zeros(w.shape + (d * d, d * d), dtype=complex)
+    rho[..., jk, jk] = same * scale
+    rho[..., jk, kj] = swap * scale
+    rho[..., jj, jj] = (same + swap) * scale
+    return rho
 
 
 def bell_state(d: int) -> np.ndarray:

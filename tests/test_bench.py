@@ -53,9 +53,3 @@ def test_werner_sweep_validates_arguments():
         werner_sweep(2, 3, 1)
     with pytest.raises(ValueError):
         werner_sweep(3, 2, 5)
-
-
-def test_werner_sweep_parallel_matches_serial():
-    serial = werner_sweep(2, 2, 3)
-    parallel = werner_sweep(2, 2, 3, parallel=True)
-    assert serial == parallel
