@@ -17,7 +17,7 @@ from statistics import median
 import numpy as np
 
 from .bloch import (
-    ReadCounter,
+    _corr_plan,
     bloch_naive,
     bloch_opt,
     corrmat_naive,
@@ -111,9 +111,9 @@ def run_bench(
 
 def corrmat_read_count(da: int, db: int) -> int:
     """Density-matrix elements the optimized correlation matrix touches."""
-    reads = ReadCounter()
-    corrmat_opt(np.eye(da * db, dtype=complex) / (da * db), da, db, reads=reads)
-    return reads.count
+    if da < 2 or db < 2:
+        raise ValueError(f"subsystem dimensions must be >= 2, got ({da}, {db})")
+    return _corr_plan(da, db)[0].size
 
 
 def fit_exponent(dims, counts) -> float:

@@ -8,9 +8,12 @@ so a correlation matrix splits into nine blocks, one per group pair.
 
 Every quantity comes in two forms. The naive form materializes each
 generator (and each Kronecker product G_j x G_k) and evaluates the trace
-by definition. The optimized form never builds an operator: each block is
-assembled from density-matrix elements read through the bipartite flat map
-|np> -> (n-1)*db + p, which drops the cost of the correlation matrix from
+by definition. The optimized form never builds an operator. The
+correlation matrix reads the O(da^2 db^2) density-matrix elements its
+blocks need, and no others, through one flat index per (da, db): element
+<np|rho|mq> sits at ((n-1)*db + p-1) * da*db + (m-1)*db + q-1 of the
+flattened matrix. The index is built once and cached, so each call makes a
+single gather and writes the nine blocks in place. This drops the cost from
 O(da^4 db^4) to O(da^2 db^2). Both forms agree to machine precision and
 serve as mutual cross-checks.
 
@@ -172,45 +175,89 @@ def corrmat_naive(rho, da: int, db: int) -> np.ndarray:
     return c
 
 
-def _take(rho4, rows_a, rows_b, cols_a, cols_b, reads):
-    """Gather <rows_a rows_b|rho|cols_a cols_b> and tally the elements read."""
-    out = rho4[..., rows_a, rows_b, cols_a, cols_b]
-    if reads is not None:
-        reads.add(out.size)
-    return out
+@lru_cache(maxsize=None)
+def _corr_plan(da: int, db: int) -> tuple[np.ndarray, tuple[int, int, int, int]]:
+    """Flat indices into rho.reshape(..., (da*db)**2) of every element corrmat_opt reads.
+
+    The index lists, each in row-major order, the diagonal grid <mp|rho|mp>
+    (da x db), the one-sided off-diagonals g1 = <mq|rho|mp> (da x pairs_b)
+    and g2 = <np|rho|mp> (pairs_a x db), and the two-sided off-diagonals
+    e1 = <nq|rho|mp> and e2 = <np|rho|mq> (pairs_a x pairs_b), with m < n on
+    side a and p < q on side b. The tuple holds the four offsets where one
+    group ends and the next begins. No element is listed twice, so the
+    index length is the read count.
+    """
+    n = da * db
+    ma, na = _pairs(da)
+    pb, qb = _pairs(db)
+    ar = np.arange(da)[:, None]
+    br = np.arange(db)[None, :]
+    ma, na = ma[:, None], na[:, None]
+    pb, qb = pb[None, :], qb[None, :]
+
+    def flat(rows_a, rows_b, cols_a, cols_b):
+        return ((rows_a * db + rows_b) * n + cols_a * db + cols_b).ravel()
+
+    groups = [
+        flat(ar, br, ar, br),
+        flat(ar, qb, ar, pb),
+        flat(na, br, ma, br),
+        flat(na, qb, ma, pb),
+        flat(na, pb, ma, qb),
+    ]
+    index = np.concatenate(groups).astype(np.intp)
+    index.setflags(write=False)
+    ends = np.cumsum([g.size for g in groups[:-1]])
+    return index, tuple(int(e) for e in ends)
 
 
 def corrmat_opt(rho, da: int, db: int, reads: ReadCounter | None = None) -> np.ndarray:
     """Correlation matrix from matrix elements alone, block by block.
 
-    Five element gathers feed all nine group blocks: the diagonal grid
-    <mp|rho|mp>, the one-sided off-diagonals <mq|rho|mp> and <np|rho|mp>,
-    and the two-sided off-diagonals <nq|rho|mp> and <np|rho|mq>
-    (m < n on side a, p < q on side b). Hermiticity of rho makes any other
-    element redundant. Pass a ReadCounter to tally the elements touched,
-    summed over every state of a stack.
+    One gather through the cached flat index of ``_corr_plan`` reads the
+    diagonal grid <mp|rho|mp>, the one-sided off-diagonals <mq|rho|mp> and
+    <np|rho|mp>, and the two-sided off-diagonals <nq|rho|mp> and
+    <np|rho|mq> (m < n on side a, p < q on side b); they feed all nine
+    group blocks, which are written in place into one output array.
+    Hermiticity of rho makes any other element redundant. Pass a
+    ReadCounter to tally the elements touched, summed over every state of
+    a stack.
     """
     rho = _as_bipartite(rho, da, db)
-    rho4 = rho.reshape(*rho.shape[:-2], da, db, da, db)
-    ma, na = _pairs(da)
-    pb, qb = _pairs(db)
-    ar = np.arange(da)[:, None]
-    br = np.arange(db)[None, :]
+    lead = rho.shape[:-2]
+    n = da * db
+    index, (c1, c2, c3, c4) = _corr_plan(da, db)
+    g = rho.reshape(*lead, n * n).take(index, axis=-1)
+    if reads is not None:
+        reads.add(g.size)
+    pairs_a = da * (da - 1) // 2
+    pairs_b = db * (db - 1) // 2
+    diag = g[..., :c1].real.reshape(*lead, da, db)
+    g1 = g[..., c1:c2].reshape(*lead, da, pairs_b)
+    g2 = g[..., c2:c3].reshape(*lead, pairs_a, db)
+    e1 = g[..., c3:c4].reshape(*lead, pairs_a, pairs_b)
+    e2 = g[..., c4:].reshape(*lead, pairs_a, pairs_b)
     wa = _diag_weights(da)
     wb = _diag_weights(db)
-    sig = da * db / 4.0
 
-    diag = _take(rho4, ar, br, ar, br, reads).real
-    g1 = _take(rho4, ar, qb[None, :], ar, pb[None, :], reads)
-    g2 = _take(rho4, na[:, None], br, ma[:, None], br, reads)
-    e1 = _take(rho4, na[:, None], qb[None, :], ma[:, None], pb[None, :], reads)
-    e2 = _take(rho4, na[:, None], pb[None, :], ma[:, None], qb[None, :], reads)
-
-    row1 = [wa @ diag @ wb.T, 2.0 * (wa @ g1.real), 2.0 * (wa @ g1.imag)]
-    row2 = [2.0 * (g2.real @ wb.T), 2.0 * (e1.real + e2.real), 2.0 * (e1.imag - e2.imag)]
-    row3 = [2.0 * (g2.imag @ wb.T), 2.0 * (e1.imag + e2.imag), 2.0 * (e2.real - e1.real)]
-    rows = [np.concatenate(row, axis=-1) for row in (row1, row2, row3)]
-    return sig * np.concatenate(rows, axis=-2)
+    # Group boundaries on each side: diagonal | symmetric | antisymmetric.
+    a1, a2 = da - 1, da - 1 + pairs_a
+    b1, b2 = db - 1, db - 1 + pairs_b
+    c = np.empty((*lead, da * da - 1, db * db - 1))
+    np.matmul(wa @ diag, wb.T, out=c[..., :a1, :b1])
+    np.matmul(wa, g1.real, out=c[..., :a1, b1:b2])
+    np.matmul(wa, g1.imag, out=c[..., :a1, b2:])
+    np.matmul(g2.real, wb.T, out=c[..., a1:a2, :b1])
+    np.matmul(g2.imag, wb.T, out=c[..., a2:, :b1])
+    np.add(e1.real, e2.real, out=c[..., a1:a2, b1:b2])
+    np.subtract(e1.imag, e2.imag, out=c[..., a1:a2, b2:])
+    np.add(e1.imag, e2.imag, out=c[..., a2:, b1:b2])
+    np.subtract(e2.real, e1.real, out=c[..., a2:, b2:])
+    # Every block but diagonal x diagonal carries a factor 2: halve that one,
+    # then scale all by 2 * da*db/4.
+    c[..., :a1, :b1] *= 0.5
+    c *= da * db / 2.0
+    return c
 
 
 def reconstruct(a, b, c) -> np.ndarray:

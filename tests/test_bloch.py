@@ -10,6 +10,8 @@ from quditcorr import (
     bloch_opt,
     corrmat_naive,
     corrmat_opt,
+    corrmat_read_count,
+    gellmann_basis,
     kron,
     random_density,
     reconstruct,
@@ -30,6 +32,30 @@ def _corrmat_2x2_oracle(rho):
         for k, sk in enumerate(PAULIS):
             c[j, k] = np.trace(np.kron(sj, sk) @ rho).real
     return c
+
+
+def _realignment_oracle(rho, da, db):
+    """C = (da*db/4) Re(Ga R(rho) Gb^T), a dense GEMM that gathers no element.
+
+    R(rho)[(i,i'), (k,k')] = rho[ik, i'k'] is the realigned state, and row j
+    of Ga is the transposed generator G_j flattened, so that
+    (Ga R Gb^T)[j, k] = Tr((G_j x G_k) rho).
+    """
+    lead = rho.shape[:-2]
+    r = rho.reshape(*lead, da, db, da, db).swapaxes(-3, -2).reshape(*lead, da * da, db * db)
+    ga = np.stack([g.T.ravel() for g in gellmann_basis(da)])
+    gb = np.stack([g.T.ravel() for g in gellmann_basis(db)])
+    return da * db / 4.0 * (ga @ r @ gb.T).real
+
+
+def _random_stack(lead, n, seed):
+    seeds = np.random.default_rng(seed).integers(0, 2**31, int(np.prod(lead)))
+    return np.stack([random_density(n, int(s)) for s in seeds]).reshape(*lead, n, n)
+
+
+# (da, db) pairs up to 5x7, each in both orders; the states are seeded.
+ORACLE_DIMS = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 7), (7, 2), (4, 5), (5, 4), (5, 7), (7, 5)]
+ORACLE_TOL = 1e-14
 
 
 def _expected_reads(da, db):
@@ -144,6 +170,33 @@ class TestCorrMatrix:
             corrmat_naive(rho, 2, 2)
 
 
+@pytest.mark.parametrize("da,db", ORACLE_DIMS)
+class TestCorrMatrixGatherLayouts:
+    """Input layouts the flat-index gather must read correctly, against the GEMM oracle."""
+
+    def _check(self, rho, da, db):
+        got = corrmat_opt(rho, da, db)
+        assert got.shape == (*rho.shape[:-2], da * da - 1, db * db - 1)
+        assert np.max(np.abs(got - _realignment_oracle(rho, da, db))) <= ORACLE_TOL
+
+    def test_single_state(self, da, db):
+        self._check(random_density(da * db, 40 * da + db), da, db)
+
+    def test_stack_2x2(self, da, db):
+        self._check(_random_stack((2, 2), da * db, 40 * da + db), da, db)
+
+    def test_non_contiguous_stack(self, da, db):
+        view = np.swapaxes(_random_stack((2, 2), da * db, 50 * da + db), -1, -2).conj()
+        assert not view.flags.c_contiguous
+        self._check(view, da, db)
+
+    def test_real_valued_state(self, da, db):
+        rho = np.ascontiguousarray(random_density(da * db, 60 * da + db).real)
+        assert rho.dtype == np.float64
+        self._check(rho, da, db)
+        self._check(_random_stack((2, 2), da * db, 70 * da + db).real, da, db)
+
+
 class TestReadCounting:
     def test_frozen_counts(self):
         for d, expect in [(2, 10), (4, 136), (8, 2080)]:
@@ -156,6 +209,15 @@ class TestReadCounting:
         reads = ReadCounter()
         corrmat_opt(random_density(6, 0), 2, 3, reads=reads)
         assert reads.count == _expected_reads(2, 3) == 21
+        for da, db in [(2, 3), (5, 7), (7, 5), (2, 24)]:
+            reads = ReadCounter()
+            corrmat_opt(random_density(da * db, 0), da, db, reads=reads)
+            assert corrmat_read_count(da, db) == reads.count == _expected_reads(da, db)
+
+    @pytest.mark.parametrize("da,db", [(1, 2), (2, 1), (0, 3)])
+    def test_read_count_rejects_dimension_below_two(self, da, db):
+        with pytest.raises(ValueError, match=">= 2"):
+            corrmat_read_count(da, db)
 
     def test_counter_accumulates(self):
         reads = ReadCounter()
