@@ -16,6 +16,7 @@ from statistics import median
 
 import numpy as np
 
+from . import _checks
 from .bloch import (
     _corr_plan,
     bloch_naive,
@@ -111,8 +112,7 @@ def run_bench(
 
 def corrmat_read_count(da: int, db: int) -> int:
     """Density-matrix elements the optimized correlation matrix touches."""
-    if da < 2 or db < 2:
-        raise ValueError(f"subsystem dimensions must be >= 2, got ({da}, {db})")
+    _checks.dims(da, db)
     return _corr_plan(da, db)[0].size
 
 

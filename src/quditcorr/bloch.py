@@ -27,6 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _checks
 from .gellmann import gellmann_basis
 from .linalg import ptrace_a, ptrace_b
 
@@ -55,40 +56,6 @@ class ReadCounter:
         self.count += int(n)
 
 
-def _as_state(rho_s) -> np.ndarray:
-    rho_s = np.asarray(rho_s)
-    if rho_s.ndim < 2 or rho_s.shape[-1] != rho_s.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {np.shape(rho_s)}")
-    if rho_s.shape[-1] < 2:
-        raise ValueError("Bloch decomposition needs dimension >= 2")
-    return rho_s
-
-
-def _as_bipartite(rho, da: int, db: int) -> np.ndarray:
-    rho = np.asarray(rho)
-    if da < 2 or db < 2:
-        raise ValueError(f"subsystem dimensions must be >= 2, got ({da}, {db})")
-    if rho.ndim < 2 or rho.shape[-2:] != (da * db, da * db):
-        raise ValueError(
-            f"matrix of shape {np.shape(rho)} does not match subsystem dims ({da}, {db})"
-        )
-    return rho
-
-
-def _single(rho) -> np.ndarray:
-    """The naive paths take one matrix, not a stack."""
-    if rho.ndim != 2:
-        raise ValueError(f"expected a single matrix, got shape {rho.shape}")
-    return rho
-
-
-def _dim_from_len(n: int) -> int:
-    d = round(np.sqrt(n + 1))
-    if d < 2 or d * d - 1 != n:
-        raise ValueError(f"vector length {n} is not d^2-1 for any d >= 2")
-    return d
-
-
 @lru_cache(maxsize=None)
 def _pairs(d: int):
     """Index pairs (k,l), k<l, 0-based, in lexicographic order."""
@@ -112,7 +79,7 @@ def _diag_weights(d: int) -> np.ndarray:
 
 def bloch_naive(rho_s) -> np.ndarray:
     """Bloch vector via materialized generators: s_j = (d/2) Re Tr(G_j rho)."""
-    rho_s = _single(_as_state(rho_s))
+    rho_s = _checks.square(rho_s, stack=False, floor=2)
     d = rho_s.shape[0]
     rho_t = rho_s.T
     comps = np.empty(d * d - 1)
@@ -135,7 +102,7 @@ def bloch_opt(rho_s) -> np.ndarray:
     symmetric and antisymmetric components are d*Re<l|rho|k> and
     d*Im<l|rho|k> for k < l.
     """
-    rho_s = _as_state(rho_s)
+    rho_s = _checks.square(rho_s, floor=2)
     d = rho_s.shape[-1]
     kk, ll = _pairs(d)
     off = rho_s[..., ll, kk]
@@ -146,7 +113,7 @@ def bloch_opt(rho_s) -> np.ndarray:
 
 def bloch_of_subsystem(rho, da: int, db: int, side: str = "a") -> np.ndarray:
     """Bloch vector of one marginal: partial-trace, then the optimized path."""
-    rho = _as_bipartite(rho, da, db)
+    rho = _checks.bipartite(rho, da, db)
     if side == "a":
         return bloch_opt(ptrace_b(rho, da, db))
     if side == "b":
@@ -156,7 +123,7 @@ def bloch_of_subsystem(rho, da: int, db: int, side: str = "a") -> np.ndarray:
 
 def corrmat_naive(rho, da: int, db: int) -> np.ndarray:
     """Correlation matrix by definition: one Kronecker product per entry."""
-    rho = _single(_as_bipartite(rho, da, db))
+    rho = _checks.bipartite(rho, da, db, stack=False)
     ga = gellmann_basis(da)
     gb = gellmann_basis(db)
     rho_t = rho.T
@@ -223,7 +190,7 @@ def corrmat_opt(rho, da: int, db: int, reads: ReadCounter | None = None) -> np.n
     ReadCounter to tally the elements touched, summed over every state of
     a stack.
     """
-    rho = _as_bipartite(rho, da, db)
+    rho = _checks.bipartite(rho, da, db)
     lead = rho.shape[:-2]
     n = da * db
     index, (c1, c2, c3, c4) = _corr_plan(da, db)
@@ -269,8 +236,8 @@ def reconstruct(a, b, c) -> np.ndarray:
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     c = np.asarray(c, dtype=float)
-    da = _dim_from_len(a.size)
-    db = _dim_from_len(b.size)
+    da = _checks.bloch_dim(a.size)
+    db = _checks.bloch_dim(b.size)
     if c.shape != (a.size, b.size):
         raise ValueError(
             f"correlation matrix shape {c.shape} does not match vectors ({a.size}, {b.size})"

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .bloch import bloch_opt, corrmat_opt
 from .linalg import eig_sym, ptrace_a, ptrace_b
 
@@ -56,9 +57,7 @@ class DiscordReport:
 
 def purity(rho_s) -> float | np.ndarray:
     """P(rho) = sum_jk |rho_jk|^2, which equals Tr(rho^2) for Hermitian rho."""
-    rho_s = np.asarray(rho_s)
-    if rho_s.ndim < 2 or rho_s.shape[-1] != rho_s.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {np.shape(rho_s)}")
+    rho_s = _checks.square(rho_s)
     p = np.sum(np.abs(rho_s) ** 2, axis=(-2, -1))
     return float(p) if p.ndim == 0 else p
 
@@ -73,11 +72,8 @@ def xi_matrix(a, c, d_other: int) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
     n = a.shape[-1] if a.ndim else 0
-    d = round(np.sqrt(n + 1))
-    if d < 2 or d * d - 1 != n:
-        raise ValueError(f"Bloch vector length {n} is not d^2-1 for any d >= 2")
-    if d_other < 2:
-        raise ValueError(f"opposite dimension must be >= 2, got {d_other}")
+    d = _checks.bloch_dim(n)
+    _checks.dims(d_other)
     if c.ndim != a.ndim + 1 or c.shape[-2] != n:
         raise ValueError(f"correlation matrix shape {c.shape} does not match side dim {d}")
     # Built in place in one array: (2/(d^2 d_other)) (a a^t + (2/d_other) C C^t).
@@ -88,7 +84,13 @@ def xi_matrix(a, c, d_other: int) -> np.ndarray:
     return xi
 
 
-def _report(rho, da: int, db: int, side: str) -> DiscordReport:
+def discord_hs(rho, da: int, db: int, side: str = "a") -> DiscordReport:
+    """Hilbert-Schmidt discord report for the given side.
+
+    Its two headline fields are hs_value, the plain Hilbert-Schmidt
+    discord, and hsa_value, the ameliorated one; ``discord_hsa`` is the
+    same function under the second name.
+    """
     if side not in ("a", "b"):
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
     c = corrmat_opt(rho, da, db)
@@ -110,11 +112,4 @@ def _report(rho, da: int, db: int, side: str) -> DiscordReport:
     return DiscordReport(side, lam, hs, pur, hs / pur)
 
 
-def discord_hs(rho, da: int, db: int, side: str = "a") -> DiscordReport:
-    """Hilbert-Schmidt discord report for the given side; headline field hs_value."""
-    return _report(rho, da, db, side)
-
-
-def discord_hsa(rho, da: int, db: int, side: str = "a") -> DiscordReport:
-    """Ameliorated Hilbert-Schmidt discord report; headline field hsa_value."""
-    return _report(rho, da, db, side)
+discord_hsa = discord_hs

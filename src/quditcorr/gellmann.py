@@ -20,6 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _checks
+
 __all__ = ["GellMannSpec", "gellmann", "gellmann_basis", "gm_index", "gm_unindex"]
 
 DIAGONAL, SYMMETRIC, ANTISYMMETRIC = 1, 2, 3
@@ -35,8 +37,7 @@ class GellMannSpec(NamedTuple):
 
 
 def _validate(dim: int, group: int, k: int, l: int) -> None:
-    if dim < 2:
-        raise ValueError(f"generator dimension must be >= 2, got {dim}")
+    _checks.dims(dim)
     if group == DIAGONAL:
         if not 1 <= k <= dim - 1:
             raise ValueError(f"diagonal index k={k} out of range 1..{dim - 1}")
@@ -82,8 +83,7 @@ def gm_index(dim: int, group: int, k: int, l: int = 0) -> int:
 
 def gm_unindex(dim: int, j: int) -> GellMannSpec:
     """Invert gm_index: recover the (group, k, l) label of flat index j."""
-    if dim < 2:
-        raise ValueError(f"generator dimension must be >= 2, got {dim}")
+    _checks.dims(dim)
     if not 1 <= j <= dim * dim - 1:
         raise ValueError(f"flat index {j} out of range 1..{dim * dim - 1}")
     n_diag = dim - 1

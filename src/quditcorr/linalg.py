@@ -14,6 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _checks
+
 __all__ = [
     "ConvergenceError",
     "DensityMatrixCheck",
@@ -44,59 +46,26 @@ class DensityMatrixCheck:
     min_eigenvalue: float
 
 
-def _as_matrix(a) -> np.ndarray:
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    return a
-
-
-def _as_square(a) -> np.ndarray:
-    a = _as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product; block (r,s) of the result is a[r,s]*b."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
+    return np.kron(_checks.matrix(a), _checks.matrix(b))
 
 
 def trace(a) -> complex:
     """Sum of diagonal entries. Raises ValueError on non-square input."""
-    return complex(np.trace(_as_square(a)))
-
-
-def _as_square_stack(a) -> np.ndarray:
-    """A stack (..., n, n) of square matrices; a single matrix is a stack of one."""
-    a = np.asarray(a)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    return a
-
-
-def _as_bipartite(rho, da: int, db: int) -> np.ndarray:
-    rho = _as_square_stack(rho)
-    if da < 1 or db < 1:
-        raise ValueError(f"subsystem dimensions must be positive, got ({da}, {db})")
-    if rho.shape[-1] != da * db:
-        raise ValueError(
-            f"matrix of shape {rho.shape} does not match subsystem dims ({da}, {db})"
-        )
-    return rho
+    return complex(np.trace(_checks.square(a, stack=False)))
 
 
 def ptrace_b(rho, da: int, db: int) -> np.ndarray:
     """Trace out subsystem b: rho_a[m,n] = sum_p rho[(m-1)db+p, (n-1)db+p]."""
-    rho = _as_bipartite(rho, da, db)
-    return np.trace(rho.reshape(*rho.shape[:-2], da, db, da, db), axis1=-3, axis2=-1)
+    rho = _checks.bipartite(rho, da, db, floor=1)
+    return np.einsum("...ijkj->...ik", rho.reshape(*rho.shape[:-2], da, db, da, db))
 
 
 def ptrace_a(rho, da: int, db: int) -> np.ndarray:
     """Trace out subsystem a: rho_b[p,q] = sum_m rho[(m-1)db+p, (m-1)db+q]."""
-    rho = _as_bipartite(rho, da, db)
-    return np.trace(rho.reshape(*rho.shape[:-2], da, db, da, db), axis1=-4, axis2=-2)
+    rho = _checks.bipartite(rho, da, db, floor=1)
+    return np.einsum("...jijk->...ik", rho.reshape(*rho.shape[:-2], da, db, da, db))
 
 
 def check_density(rho) -> DensityMatrixCheck:
@@ -105,7 +74,7 @@ def check_density(rho) -> DensityMatrixCheck:
     The minimum eigenvalue is taken from the Hermitized input (rho+rho†)/2.
     Reporting only; callers decide what defects they tolerate.
     """
-    rho = _as_square(rho)
+    rho = _checks.square(rho, stack=False)
     herm_defect = float(np.max(np.abs(rho - rho.conj().T)))
     trace_defect = float(abs(np.trace(rho) - 1.0))
     herm = (rho + rho.conj().T) / 2.0
@@ -143,7 +112,7 @@ def eig_sym(m) -> np.ndarray:
     matrix that already passes the test returns its sorted diagonal, and
     only the others go through the rotation loop, one at a time.
     """
-    m = _as_square_stack(np.asarray(m, dtype=float))
+    m = _checks.square(np.asarray(m, dtype=float))
     mt = np.swapaxes(m, -1, -2)
     if np.max(np.abs(m - mt), initial=0.0) > 1e-10:
         raise ValueError("matrix is not symmetric within 1e-10")

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _checks
+
 __all__ = [
     "swap_operator",
     "werner_state",
@@ -18,14 +20,9 @@ __all__ = [
 ]
 
 
-def _check_dim(d: int) -> None:
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-
-
 def swap_operator(d: int) -> np.ndarray:
     """Permutation F = sum_jk |jk><kj| on two d-dimensional systems; F|jk> = |kj>."""
-    _check_dim(d)
+    _checks.dims(d)
     f = np.zeros((d * d, d * d), dtype=complex)
     for j in range(d):
         for k in range(d):
@@ -39,7 +36,7 @@ def werner_state(d: int, w) -> np.ndarray:
     Both marginals are maximally mixed, and Tr(F rho) = w. An array of w
     gives a stack of states, shape w.shape + (d^2, d^2).
     """
-    _check_dim(d)
+    _checks.dims(d)
     w = np.asarray(w, dtype=float)
     inside = (w >= -1.0) & (w <= 1.0)
     if not inside.all():
@@ -65,7 +62,7 @@ def werner_state(d: int, w) -> np.ndarray:
 
 def bell_state(d: int) -> np.ndarray:
     """Projector onto the maximally entangled ket sum_j |jj> / sqrt(d)."""
-    _check_dim(d)
+    _checks.dims(d)
     psi = np.zeros(d * d, dtype=complex)
     psi[:: d + 1] = 1.0 / np.sqrt(d)
     return np.outer(psi, psi.conj())
@@ -79,7 +76,7 @@ def _ginibre_density(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_density(d: int, seed: int) -> np.ndarray:
     """Random full-rank density matrix G G†/Tr(G G†), G complex Gaussian."""
-    _check_dim(d)
+    _checks.dims(d)
     return _ginibre_density(d, np.random.default_rng(seed))
 
 
@@ -100,8 +97,7 @@ def random_cq_state(da: int, db: int, seed: int) -> np.ndarray:
     on side b. States of this form carry zero discord with respect to
     measurements on side a.
     """
-    _check_dim(da)
-    _check_dim(db)
+    _checks.dims(da, db)
     rng = np.random.default_rng(seed)
     basis = _haar_unitary(da, rng)
     p = rng.random(da)

@@ -124,6 +124,19 @@ class TestPartialTrace:
         assert abs(np.trace(ptrace_b(rho, da, db)) - np.trace(rho)) <= 1e-13
         assert abs(np.trace(ptrace_a(rho, da, db)) - np.trace(rho)) <= 1e-13
 
+    @pytest.mark.parametrize("da,db", [(2, 2), (3, 5), (5, 3), (7, 7), (12, 2), (2, 24)])
+    def test_bit_identical_to_axis_trace(self, da, db):
+        # np.trace over the paired axes sums each entry in index order; the
+        # kernels must round exactly as it does, on stacks and on views.
+        stack = np.stack([random_density(da * db, s) for s in (5, 6)])
+        for rho in (stack, np.swapaxes(stack, -1, -2).conj()):
+            r4 = rho.reshape(2, da, db, da, db)
+            for got, ref in (
+                (ptrace_b(rho, da, db), np.trace(r4, axis1=-3, axis2=-1)),
+                (ptrace_a(rho, da, db), np.trace(r4, axis1=-4, axis2=-2)),
+            ):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             ptrace_b(np.eye(5), 2, 2)
