@@ -6,15 +6,7 @@ optimized matrix-element form; the optimized forms never build operators
 and are the ones to use in anything but cross-checks.
 """
 
-from .bench import (
-    BenchRecord,
-    bench_pair,
-    corrmat_read_count,
-    fit_exponent,
-    run_bench,
-    werner_analytic,
-    werner_sweep,
-)
+from .bench import BenchRecord, bench_pair, fit_exponent, run_bench
 from .bloch import (
     ReadCounter,
     bloch_naive,
@@ -22,9 +14,18 @@ from .bloch import (
     bloch_opt,
     corrmat_naive,
     corrmat_opt,
+    corrmat_read_count,
     reconstruct,
 )
-from .discord import DiscordReport, discord_hs, discord_hsa, purity, xi_matrix
+from .discord import (
+    DiscordReport,
+    discord_hs,
+    discord_hsa,
+    purity,
+    werner_analytic,
+    werner_sweep,
+    xi_matrix,
+)
 from .gellmann import GellMannSpec, gellmann, gellmann_basis, gm_index, gm_unindex
 from .linalg import (
     ConvergenceError,

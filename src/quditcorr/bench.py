@@ -1,4 +1,4 @@
-"""Timing benchmark and Werner sweep machinery behind the CLI.
+"""Timing benchmark of the naive against the optimized pipeline.
 
 The benchmark times the full naive pipeline (both Bloch vectors plus the
 correlation matrix, all via materialized generators) against the optimized
@@ -16,27 +16,11 @@ from statistics import median
 
 import numpy as np
 
-from . import _checks
-from .bloch import (
-    _corr_plan,
-    bloch_naive,
-    bloch_opt,
-    corrmat_naive,
-    corrmat_opt,
-)
-from .discord import discord_hsa
+from .bloch import bloch_naive, bloch_opt, corrmat_naive, corrmat_opt
 from .linalg import ptrace_a, ptrace_b
-from .states import random_density, werner_state
+from .states import random_density
 
-__all__ = [
-    "BenchRecord",
-    "bench_pair",
-    "run_bench",
-    "corrmat_read_count",
-    "fit_exponent",
-    "werner_analytic",
-    "werner_sweep",
-]
+__all__ = ["BenchRecord", "bench_pair", "run_bench", "fit_exponent"]
 
 DEFAULT_TRIALS = 5
 DEFAULT_CAP_SECONDS = 300.0
@@ -110,45 +94,6 @@ def run_bench(
     return [bench_pair(da, db, trials, seed, cap_seconds) for da, db in ordered]
 
 
-def corrmat_read_count(da: int, db: int) -> int:
-    """Density-matrix elements the optimized correlation matrix touches."""
-    _checks.dims(da, db)
-    return _corr_plan(da, db)[0].size
-
-
 def fit_exponent(dims, counts) -> float:
     """Least-squares slope of log(count) against log(dim)."""
     return float(np.polyfit(np.log(np.asarray(dims, float)), np.log(np.asarray(counts, float)), 1)[0])
-
-
-def werner_analytic(d: int, w: float) -> float:
-    """Closed-form ameliorated discord of the Werner state: (dw-1)^2/((d-1)(d+1)^2)."""
-    return (d * w - 1) ** 2 / ((d - 1) * (d + 1) ** 2)
-
-
-# Most density-matrix entries one stacked discord call of the Werner sweep
-# holds: the whole w grid for small d, a few states per call for large d,
-# so that the sweep's memory stays bounded however large d gets.
-_SWEEP_CHUNK_ENTRIES = 2**14
-
-
-def werner_sweep(
-    dmin: int, dmax: int, wsteps: int
-) -> list[tuple[int, float, float, float, float]]:
-    """Rows (d, w, hs_numeric, hsa_numeric, hsa_analytic) over a uniform w grid."""
-    if dmin < 2:
-        raise ValueError(f"dmin must be >= 2, got {dmin}")
-    if dmax < dmin:
-        raise ValueError(f"dmax must be >= dmin, got {dmax} < {dmin}")
-    if wsteps < 2:
-        raise ValueError(f"wsteps must be >= 2, got {wsteps}")
-    grid = np.linspace(-1.0, 1.0, wsteps)
-    rows = []
-    for d in range(dmin, dmax + 1):
-        chunk = max(1, _SWEEP_CHUNK_ENTRIES // d**4)
-        for start in range(0, wsteps, chunk):
-            ws = grid[start : start + chunk]
-            rep = discord_hsa(werner_state(d, ws), d, d, "a")
-            for w, hs, hsa in zip(ws.tolist(), rep.hs_value.tolist(), rep.hsa_value.tolist()):
-                rows.append((d, w, hs, hsa, werner_analytic(d, w)))
-    return rows

@@ -38,6 +38,7 @@ __all__ = [
     "bloch_of_subsystem",
     "corrmat_naive",
     "corrmat_opt",
+    "corrmat_read_count",
     "reconstruct",
 ]
 
@@ -176,6 +177,12 @@ def _corr_plan(da: int, db: int) -> tuple[np.ndarray, tuple[int, int, int, int]]
     index.setflags(write=False)
     ends = np.cumsum([g.size for g in groups[:-1]])
     return index, tuple(int(e) for e in ends)
+
+
+def corrmat_read_count(da: int, db: int) -> int:
+    """Density-matrix elements the optimized correlation matrix touches."""
+    _checks.dims(da, db)
+    return _corr_plan(da, db)[0].size
 
 
 def corrmat_opt(rho, da: int, db: int, reads: ReadCounter | None = None) -> np.ndarray:

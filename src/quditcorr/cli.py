@@ -14,9 +14,9 @@ import sys
 
 import numpy as np
 
-from .bench import DEFAULT_CAP_SECONDS, DEFAULT_TRIALS, run_bench, werner_sweep
+from .bench import DEFAULT_CAP_SECONDS, DEFAULT_TRIALS, run_bench
 from .bloch import bloch_naive, bloch_opt, corrmat_naive, corrmat_opt
-from .discord import discord_hs, purity
+from .discord import discord_hs, purity, werner_sweep
 from .gellmann import gellmann
 from .linalg import ConvergenceError, check_density, ptrace_a, ptrace_b
 from .matfile import MatrixFileError, parse_matrix_file

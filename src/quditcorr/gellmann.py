@@ -102,4 +102,5 @@ def gm_unindex(dim: int, j: int) -> GellMannSpec:
 
 def gellmann_basis(dim: int) -> list[np.ndarray]:
     """All dim^2-1 generators, listed in flat-index order."""
+    _checks.dims(dim)
     return [gellmann(*gm_unindex(dim, j)) for j in range(1, dim * dim)]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from quditcorr import (
@@ -127,3 +129,62 @@ class TestDiscordHsa:
         assert abs(rep.hsa_value - rep.hs_value / rep.purity_other) <= 1e-13 * max(
             1.0, rep.hsa_value
         )
+
+
+def _realigned(x, da, db):
+    """R(X)[(i,i'), (k,k')] = X[ik, i'k'], a da^2 x db^2 matrix."""
+    return x.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+
+
+def _hs_oracle(rho, da, db, side):
+    """Basis-free Hilbert-Schmidt discord (Luo & Fu, PRA 82, 034302 (2010)).
+
+    Matrix units are an orthonormal operator basis, so the singular values
+    of the realigned, locally centred state are those of the Gell-Mann
+    coefficient matrix, and the discord is their squared tail. Nothing here
+    goes through the package's Bloch, correlation, Xi or eigen code.
+    """
+    blocks = rho.reshape(da, db, da, db)
+    if side == "a":
+        rho_b = blocks.trace(axis1=0, axis2=2)
+        r = _realigned(rho - np.kron(np.eye(da) / da, rho_b), da, db)
+        d_side = da
+    else:
+        rho_a = blocks.trace(axis1=1, axis2=3)
+        r = _realigned(rho - np.kron(rho_a, np.eye(db) / db), da, db).T
+        d_side = db
+    sigma = np.linalg.svd(r, compute_uv=False)
+    return float(np.sum(sigma[d_side - 1 :] ** 2))
+
+
+def _assert_matches_oracle(rho, da, db, side):
+    hs = discord_hs(rho, da, db, side).hs_value
+    want = _hs_oracle(rho, da, db, side)
+    assert abs(hs - want) <= 1e-12 * max(hs, want) + 1e-15
+
+
+class TestBasisFreeOracle:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_oracle_on_bell_states(self, d):
+        assert abs(_hs_oracle(bell_state(d), d, d, "a") - (d - 1) / d) <= 1e-14
+
+    @seed(20100302)
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(
+        da=st.integers(2, 5),
+        db=st.integers(2, 5),
+        side=st.sampled_from(["a", "b"]),
+        cq=st.booleans(),
+        state_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_discord_hs(self, da, db, side, cq, state_seed):
+        if cq:
+            rho = random_cq_state(da, db, state_seed)
+        else:
+            rho = random_density(da * db, state_seed)
+        _assert_matches_oracle(rho, da, db, side)
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("da,db", [(5, 7), (7, 5)])
+    def test_asymmetric_five_by_seven(self, da, db, side):
+        _assert_matches_oracle(random_density(da * db, 57 + da), da, db, side)

@@ -104,6 +104,7 @@ REJECTED = {
     "gellmann-below-floor": lambda: q.gellmann(1, 1, 1),
     "gm_index-below-floor": lambda: q.gm_index(1, 1, 1),
     "gm_unindex-below-floor": lambda: q.gm_unindex(1, 1),
+    "gellmann_basis-below-floor": lambda: q.gellmann_basis(1),
 }
 
 ACCEPTED = {
