@@ -8,14 +8,13 @@ so a correlation matrix splits into nine blocks, one per group pair.
 
 Every quantity comes in two forms. The naive form materializes each
 generator (and each Kronecker product G_j x G_k) and evaluates the trace
-by definition. The optimized form never builds an operator. The
-correlation matrix reads the O(da^2 db^2) density-matrix elements its
-blocks need, and no others, through one flat index per (da, db): element
-<np|rho|mq> sits at ((n-1)*db + p-1) * da*db + (m-1)*db + q-1 of the
-flattened matrix. The index is built once and cached, so each call makes a
-single gather and writes the nine blocks in place. This drops the cost from
-O(da^4 db^4) to O(da^2 db^2). Both forms agree to machine precision and
-serve as mutual cross-checks.
+by definition. The optimized form never builds an operator: it views rho
+as interleaved (re, im) floats and gathers, through one flat index cached
+per dimension pair, exactly the O(da^2 db^2) floats it needs, laid out as
+its blocks use them. The correlation matrix scales them once and writes
+its nine blocks in place; a marginal's Bloch vector sums its partial trace
+inside the gather. This drops the cost from O(da^4 db^4) to O(da^2 db^2).
+Both forms agree to machine precision and serve as mutual cross-checks.
 
 The optimized forms also take a stack of states, shape (..., n, n), and
 return one result per state, stacked on the same leading axes.
@@ -23,13 +22,13 @@ return one result per state, stacked on the same leading axes.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from . import _checks
 from .gellmann import gellmann_basis
-from .linalg import ptrace_a, ptrace_b
 
 __all__ = [
     "ReadCounter",
@@ -42,8 +41,8 @@ __all__ = [
     "reconstruct",
 ]
 
-# Largest imaginary residue tolerated when the naive path discards the
-# imaginary part of a trace; larger values indicate a non-Hermitian input.
+# Largest imaginary residue of a trace Tr(G_j rho) that bloch_naive,
+# bloch_opt and corrmat_naive tolerate; more means a non-Hermitian input.
 IMAG_TOL = 1e-10
 
 
@@ -78,6 +77,19 @@ def _diag_weights(d: int) -> np.ndarray:
     return w
 
 
+def _reject_imag_residue(worst: float) -> None:
+    if worst > IMAG_TOL:
+        raise ValueError(
+            f"trace has imaginary residue {worst:.3e} > {IMAG_TOL}; input is not Hermitian"
+        )
+
+
+def _floats(rho, n: int) -> np.ndarray:
+    """(..., n, n) rho as (..., 2*n*n) floats: Re rho[r, c] at 2*(r*n + c), Im next to it."""
+    rho = np.ascontiguousarray(rho, dtype=complex)
+    return rho.reshape(*rho.shape[:-2], n * n).view(float)
+
+
 def bloch_naive(rho_s) -> np.ndarray:
     """Bloch vector via materialized generators: s_j = (d/2) Re Tr(G_j rho)."""
     rho_s = _checks.square(rho_s, stack=False, floor=2)
@@ -89,11 +101,43 @@ def bloch_naive(rho_s) -> np.ndarray:
         t = (g * rho_t).sum()
         worst = max(worst, abs(t.imag))
         comps[j] = 0.5 * d * t.real
-    if worst > IMAG_TOL:
-        raise ValueError(
-            f"trace has imaginary residue {worst:.3e} > {IMAG_TOL}; input is not Hermitian"
-        )
+    _reject_imag_residue(worst)
     return comps
+
+
+@lru_cache(maxsize=None)
+def _bloch_plan(da: int, db: int, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """Gather index into ``_floats`` and diagonal weights for one marginal's Bloch vector.
+
+    Row r of the (d*d, k) index holds the k floats, one per traced-out
+    ket, whose sum is float r of the marginal: Re of the diagonal, then Re
+    and Im of the lower off-diagonals. One state is da = d, db = 1. The
+    (d, d-1) weights carry the factor d/2.
+    """
+    n = da * db
+    # Ket |i t> of the kept index i and traced index t sits at i*keep + t*step.
+    d, k, keep, step = (da, db, db, 1) if side == "a" else (db, da, 1, db)
+    t = step * np.arange(k)
+    kk, ll = _pairs(d)
+    diag = keep * np.arange(d)[:, None] + t
+    off = (keep * ll[:, None] + t) * n + keep * kk[:, None] + t
+    index = 2 * np.concatenate([diag * (n + 1), off, off]).astype(np.intp)
+    index[d + kk.size :] += 1
+    weights = 0.5 * d * _diag_weights(d).T
+    index.setflags(write=False)
+    weights.setflags(write=False)
+    return index, weights
+
+
+def _bloch(rho, da: int, db: int, side: str) -> np.ndarray:
+    """Bloch vector of one marginal of an already checked (..., da*db, da*db) stack."""
+    index, weights = _bloch_plan(da, db, side)
+    d = weights.shape[0]
+    g = np.add.reduce(_floats(rho, da * db).take(index, axis=-1), axis=-1)
+    s = np.empty((*g.shape[:-1], d * d - 1))
+    np.matmul(g[..., :d], weights, out=s[..., : d - 1])
+    np.multiply(g[..., d:], d, out=s[..., d - 1 :])
+    return s
 
 
 def bloch_opt(rho_s) -> np.ndarray:
@@ -101,25 +145,24 @@ def bloch_opt(rho_s) -> np.ndarray:
 
     Diagonal components are weighted sums of diagonal elements; the
     symmetric and antisymmetric components are d*Re<l|rho|k> and
-    d*Im<l|rho|k> for k < l.
+    d*Im<l|rho|k> for k < l. Like ``bloch_naive`` it rejects a
+    non-Hermitian input.
     """
     rho_s = _checks.square(rho_s, floor=2)
     d = rho_s.shape[-1]
-    kk, ll = _pairs(d)
-    off = rho_s[..., ll, kk]
-    diag = rho_s.diagonal(0, -2, -1).real
-    s1 = 0.5 * d * (_diag_weights(d) @ diag[..., None])[..., 0]
-    return np.concatenate([s1, d * off.real, d * off.imag], axis=-1)
+    # The residues Im Tr(G_j rho) = Tr(G_j A), A = (rho - rho^dagger)/(2i),
+    # are 1/d times the Bloch vector of 2A.
+    anti = (rho_s - np.swapaxes(rho_s, -1, -2).conj()) * -1j
+    _reject_imag_residue(np.maximum.reduce(np.abs(_bloch(anti, d, 1, "a")), None, initial=0.0) / d)
+    return _bloch(rho_s, d, 1, "a")
 
 
 def bloch_of_subsystem(rho, da: int, db: int, side: str = "a") -> np.ndarray:
-    """Bloch vector of one marginal: partial-trace, then the optimized path."""
+    """Bloch vector of one marginal, gathered from rho with no partial trace or Hermiticity test."""
     rho = _checks.bipartite(rho, da, db)
-    if side == "a":
-        return bloch_opt(ptrace_b(rho, da, db))
-    if side == "b":
-        return bloch_opt(ptrace_a(rho, da, db))
-    raise ValueError(f"side must be 'a' or 'b', got {side!r}")
+    if side not in ("a", "b"):
+        raise ValueError(f"side must be 'a' or 'b', got {side!r}")
+    return _bloch(rho, da, db, side)
 
 
 def corrmat_naive(rho, da: int, db: int) -> np.ndarray:
@@ -136,24 +179,21 @@ def corrmat_naive(rho, da: int, db: int) -> np.ndarray:
             t = (np.kron(gj, gk) * rho_t).sum()
             worst = max(worst, abs(t.imag))
             c[j, k] = sig * t.real
-    if worst > IMAG_TOL:
-        raise ValueError(
-            f"trace has imaginary residue {worst:.3e} > {IMAG_TOL}; input is not Hermitian"
-        )
+    _reject_imag_residue(worst)
     return c
 
 
 @lru_cache(maxsize=None)
-def _corr_plan(da: int, db: int) -> tuple[np.ndarray, tuple[int, int, int, int]]:
-    """Flat indices into rho.reshape(..., (da*db)**2) of every element corrmat_opt reads.
+def _corr_plan(da: int, db: int):
+    """Gather index into ``_floats`` of every element corrmat_opt reads, in block layout.
 
-    The index lists, each in row-major order, the diagonal grid <mp|rho|mp>
-    (da x db), the one-sided off-diagonals g1 = <mq|rho|mp> (da x pairs_b)
-    and g2 = <np|rho|mp> (pairs_a x db), and the two-sided off-diagonals
-    e1 = <nq|rho|mp> and e2 = <np|rho|mq> (pairs_a x pairs_b), with m < n on
-    side a and p < q on side b. The tuple holds the four offsets where one
-    group ends and the next begins. No element is listed twice, so the
-    index length is the read count.
+    With m < n on side a and p < q on side b, the index lists, row-major:
+    Re of the diagonal grid <mp|rho|mp> (da, db); g1 = <mq|rho|mp> as
+    (da, 2*pairs_b), Re then Im in each row; g2 = <np|rho|mp> as
+    (2*pairs_a, db), Re rows over Im rows; e1 = <nq|rho|mp>, e2 = <np|rho|mq>
+    as (4, pairs_a, pairs_b): Re e1, Im e1, Re e2, Im e2. No element is
+    listed twice. Also returned: the group ends, the complex elements read,
+    side a's diagonal weights whole and halved, and side b's transposed.
     """
     n = da * db
     ma, na = _pairs(da)
@@ -164,73 +204,66 @@ def _corr_plan(da: int, db: int) -> tuple[np.ndarray, tuple[int, int, int, int]]
     pb, qb = pb[None, :], qb[None, :]
 
     def flat(rows_a, rows_b, cols_a, cols_b):
-        return ((rows_a * db + rows_b) * n + cols_a * db + cols_b).ravel()
+        return 2 * ((rows_a * db + rows_b) * n + cols_a * db + cols_b)
 
-    groups = [
-        flat(ar, br, ar, br),
-        flat(ar, qb, ar, pb),
-        flat(na, br, ma, br),
-        flat(na, qb, ma, pb),
-        flat(na, pb, ma, qb),
-    ]
-    index = np.concatenate(groups).astype(np.intp)
-    index.setflags(write=False)
-    ends = np.cumsum([g.size for g in groups[:-1]])
-    return index, tuple(int(e) for e in ends)
+    g1, g2 = flat(ar, qb, ar, pb), flat(na, br, ma, br)
+    e1, e2 = flat(na, qb, ma, pb), flat(na, pb, ma, qb)
+    groups = [flat(ar, br, ar, br), np.hstack([g1, g1 + 1]), np.vstack([g2, g2 + 1])]
+    groups.append(np.stack([e1, e1 + 1, e2, e2 + 1]))
+    index = np.concatenate([g.ravel() for g in groups]).astype(np.intp)
+    ends = tuple(int(e) for e in np.cumsum([g.size for g in groups[:-1]]))
+    wa = _diag_weights(da)
+    half_wa = 0.5 * wa
+    wbt = np.ascontiguousarray(_diag_weights(db).T)
+    for a in (index, half_wa, wbt):
+        a.setflags(write=False)
+    return index, ends, n + (index.size - n) // 2, wa, half_wa, wbt
 
 
 def corrmat_read_count(da: int, db: int) -> int:
     """Density-matrix elements the optimized correlation matrix touches."""
     _checks.dims(da, db)
-    return _corr_plan(da, db)[0].size
+    return _corr_plan(da, db)[2]
 
 
 def corrmat_opt(rho, da: int, db: int, reads: ReadCounter | None = None) -> np.ndarray:
     """Correlation matrix from matrix elements alone, block by block.
 
-    One gather through the cached flat index of ``_corr_plan`` reads the
-    diagonal grid <mp|rho|mp>, the one-sided off-diagonals <mq|rho|mp> and
-    <np|rho|mp>, and the two-sided off-diagonals <nq|rho|mp> and
-    <np|rho|mq> (m < n on side a, p < q on side b); they feed all nine
-    group blocks, which are written in place into one output array.
-    Hermiticity of rho makes any other element redundant. Pass a
-    ReadCounter to tally the elements touched, summed over every state of
-    a stack.
+    One gather through the cached index of ``_corr_plan`` reads the
+    diagonal grid <mp|rho|mp>, the one-sided off-diagonals <mq|rho|mp>
+    and <np|rho|mp>, and the two-sided off-diagonals <nq|rho|mp> and
+    <np|rho|mq> (m < n on side a, p < q on side b) for all nine group
+    blocks; Hermiticity of rho makes any other element redundant. Pass a
+    ReadCounter to tally the elements touched, summed over a stack.
     """
     rho = _checks.bipartite(rho, da, db)
     lead = rho.shape[:-2]
-    n = da * db
-    index, (c1, c2, c3, c4) = _corr_plan(da, db)
-    g = rho.reshape(*lead, n * n).take(index, axis=-1)
+    index, (c1, c2, c3), count, wa, half_wa, wbt = _corr_plan(da, db)
     if reads is not None:
-        reads.add(g.size)
-    pairs_a = da * (da - 1) // 2
-    pairs_b = db * (db - 1) // 2
-    diag = g[..., :c1].real.reshape(*lead, da, db)
-    g1 = g[..., c1:c2].reshape(*lead, da, pairs_b)
-    g2 = g[..., c2:c3].reshape(*lead, pairs_a, db)
-    e1 = g[..., c3:c4].reshape(*lead, pairs_a, pairs_b)
-    e2 = g[..., c4:].reshape(*lead, pairs_a, pairs_b)
-    wa = _diag_weights(da)
-    wb = _diag_weights(db)
+        reads.add(count * math.prod(lead))
+    # Every block but diagonal x diagonal carries a factor 2 and all carry
+    # da*db/4: scale the gathered values once by da*db/2, and let the
+    # halved weights take the diagonal x diagonal block back.
+    g = _floats(rho, da * db).take(index, axis=-1)
+    g *= da * db / 2.0
+    pairs_a, pairs_b = da * (da - 1) // 2, db * (db - 1) // 2
+    diag = g[..., :c1].reshape(*lead, da, db)
+    g1 = g[..., c1:c2].reshape(*lead, da, 2 * pairs_b)
+    g2 = g[..., c2:c3].reshape(*lead, 2 * pairs_a, db)
+    e = g[..., c3:].reshape(*lead, 4, pairs_a, pairs_b)
+    e1_re, e1_im, e2_re, e2_im = e[..., 0, :, :], e[..., 1, :, :], e[..., 2, :, :], e[..., 3, :, :]
 
     # Group boundaries on each side: diagonal | symmetric | antisymmetric.
     a1, a2 = da - 1, da - 1 + pairs_a
     b1, b2 = db - 1, db - 1 + pairs_b
     c = np.empty((*lead, da * da - 1, db * db - 1))
-    np.matmul(wa @ diag, wb.T, out=c[..., :a1, :b1])
-    np.matmul(wa, g1.real, out=c[..., :a1, b1:b2])
-    np.matmul(wa, g1.imag, out=c[..., :a1, b2:])
-    np.matmul(g2.real, wb.T, out=c[..., a1:a2, :b1])
-    np.matmul(g2.imag, wb.T, out=c[..., a2:, :b1])
-    np.add(e1.real, e2.real, out=c[..., a1:a2, b1:b2])
-    np.subtract(e1.imag, e2.imag, out=c[..., a1:a2, b2:])
-    np.add(e1.imag, e2.imag, out=c[..., a2:, b1:b2])
-    np.subtract(e2.real, e1.real, out=c[..., a2:, b2:])
-    # Every block but diagonal x diagonal carries a factor 2: halve that one,
-    # then scale all by 2 * da*db/4.
-    c[..., :a1, :b1] *= 0.5
-    c *= da * db / 2.0
+    np.matmul(half_wa @ diag, wbt, out=c[..., :a1, :b1])
+    np.matmul(wa, g1, out=c[..., :a1, b1:])
+    np.matmul(g2, wbt, out=c[..., a1:, :b1])
+    np.add(e1_re, e2_re, out=c[..., a1:a2, b1:b2])
+    np.subtract(e1_im, e2_im, out=c[..., a1:a2, b2:])
+    np.add(e1_im, e2_im, out=c[..., a2:, b1:b2])
+    np.subtract(e2_re, e1_re, out=c[..., a2:, b2:])
     return c
 
 

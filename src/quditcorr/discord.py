@@ -7,14 +7,15 @@ The side-a quantifier is the eigenvalue sum
 where the lambda_j are the non-increasing eigenvalues of the symmetric
 positive-semidefinite matrix
 
-    Xi_a = (2/(da^2 db)) (a a^t + (2/db) C C^t)
+    Xi_a = (2/(da^2 db)) (a a^t + (2/db) C C^t) = M M^t,
+    M = sqrt(2/(da^2 db)) [a | sqrt(2/db) C],
 
-built from the side-a Bloch vector and the correlation matrix. The
-ameliorated quantifier divides by the purity of the opposite marginal,
-D_hsa = D_hs / P(rho_b), which repairs the non-contractivity of the
-Hilbert-Schmidt distance. Side b mirrors side a with C^t C in place of
-C C^t. Both values vanish exactly on classical-quantum states
-sum_j p_j |a_j><a_j| x rho_j.
+built from the side-a Bloch vector and the correlation matrix; forming
+it as M M^t makes it exactly symmetric. The ameliorated quantifier
+divides by the purity of the opposite marginal, D_hsa = D_hs / P(rho_b),
+which repairs the non-contractivity of the Hilbert-Schmidt distance.
+Side b mirrors side a with C^t C in place of C C^t. Both values vanish
+exactly on classical-quantum states sum_j p_j |a_j><a_j| x rho_j.
 
 The variational definition of the Hilbert-Schmidt discord (a minimum over
 classical-quantum states) is not solved here; the closed-form eigenvalue
@@ -74,7 +75,7 @@ def purity(rho_s) -> float | np.ndarray:
 
 
 def xi_matrix(a, c, d_other: int) -> np.ndarray:
-    """Xi = (2/(d^2 d_other)) (a a^t + (2/d_other) C C^t) for the side owning a.
+    """Xi = (2/(d^2 d_other)) (a a^t + (2/d_other) C C^t) = M M^t for the side owning a.
 
     For side b pass the side-b Bloch vector together with C transposed.
     A stack of vectors (..., n) with matching matrices (..., n, m) gives a
@@ -87,12 +88,12 @@ def xi_matrix(a, c, d_other: int) -> np.ndarray:
     _checks.dims(d_other)
     if c.ndim != a.ndim + 1 or c.shape[-2] != n:
         raise ValueError(f"correlation matrix shape {c.shape} does not match side dim {d}")
-    # Built in place in one array: (2/(d^2 d_other)) (a a^t + (2/d_other) C C^t).
-    xi = c @ np.swapaxes(c, -1, -2)
-    xi *= 2.0 / d_other
-    xi += a[..., :, None] * a[..., None, :]
-    xi *= 2.0 / (d * d * d_other)
-    return xi
+    # M = sqrt(2/(d^2 d_other)) [a | sqrt(2/d_other) C]; numpy makes M M^t exactly symmetric.
+    scale = np.sqrt(2.0 / (d * d * d_other))
+    m = np.empty((*c.shape[:-1], c.shape[-1] + 1))
+    np.multiply(a, scale, out=m[..., 0])
+    np.multiply(c, scale * np.sqrt(2.0 / d_other), out=m[..., 1:])
+    return m @ np.swapaxes(m, -1, -2)
 
 
 def discord_hs(rho, da: int, db: int, side: str = "a") -> DiscordReport:
@@ -103,13 +104,12 @@ def discord_hs(rho, da: int, db: int, side: str = "a") -> DiscordReport:
     same function under the second name.
     """
     vec = bloch_of_subsystem(rho, da, db, side)
-    c = corrmat_opt(rho, da, db)
     if side == "a":
-        xi = xi_matrix(vec, c, db)
+        xi = xi_matrix(vec, corrmat_opt(rho, da, db), db)
         pur = purity(ptrace_a(rho, da, db))
         d_side = da
     else:
-        xi = xi_matrix(vec, np.swapaxes(c, -1, -2), da)
+        xi = xi_matrix(vec, np.swapaxes(corrmat_opt(rho, da, db), -1, -2), da)
         pur = purity(ptrace_b(rho, da, db))
         d_side = db
     lam = eig_sym(xi)
@@ -151,6 +151,6 @@ def werner_sweep(
         for start in range(0, wsteps, chunk):
             ws = grid[start : start + chunk]
             rep = discord_hsa(werner_state(d, ws), d, d, "a")
-            for w, hs, hsa in zip(ws.tolist(), rep.hs_value.tolist(), rep.hsa_value.tolist()):
-                rows.append((d, w, hs, hsa, werner_analytic(d, w)))
+            hs, hsa, exact = rep.hs_value, rep.hsa_value, werner_analytic(d, ws)
+            rows += zip([d] * ws.size, ws.tolist(), hs.tolist(), hsa.tolist(), exact.tolist())
     return rows

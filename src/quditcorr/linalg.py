@@ -10,7 +10,6 @@ and act on each matrix of the stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -83,20 +82,12 @@ def check_density(rho) -> DensityMatrixCheck:
 
 
 def _norms(x) -> np.ndarray:
-    """Euclidean norm of each row, rounded as np.linalg.norm rounds one vector.
+    """Euclidean norm of each row, reduced as np.linalg.norm reduces one vector.
 
-    Both reduce with the same dot product, so a single matrix gets exactly
-    the threshold and first convergence test of the rotation loop.
+    The pre-check of ``eig_sym`` keeps the zeroed diagonal in each row, so
+    its first convergence test can differ from ``_jacobi``'s in the last bit.
     """
     return np.sqrt(np.vecdot(x, x))
-
-
-@lru_cache(maxsize=None)
-def _off_diagonal(n: int) -> np.ndarray:
-    """Flat row-major positions of the off-diagonal entries of an n x n matrix."""
-    idx = np.flatnonzero(~np.eye(n, dtype=bool))
-    idx.setflags(write=False)
-    return idx
 
 
 def eig_sym(m) -> np.ndarray:
@@ -114,9 +105,12 @@ def eig_sym(m) -> np.ndarray:
     """
     m = _checks.square(np.asarray(m, dtype=float))
     mt = np.swapaxes(m, -1, -2)
-    if np.max(np.abs(m - mt), initial=0.0) > 1e-10:
+    # One scratch array holds |m - m^t|, then (m + m^t)/2.
+    a = np.subtract(m, mt)
+    np.abs(a, out=a)
+    if np.max(a, initial=0.0) > 1e-10:
         raise ValueError("matrix is not symmetric within 1e-10")
-    a = m + mt
+    np.add(m, mt, out=a)
     a /= 2.0
     n = a.shape[-1]
     diag = np.diagonal(a, axis1=-2, axis2=-1)
@@ -125,8 +119,12 @@ def eig_sym(m) -> np.ndarray:
 
     flat = a.reshape(-1, n * n)
     thresh = JACOBI_TOL * _norms(flat)
-    done = _norms(flat.take(_off_diagonal(n), axis=1)) <= thresh
     lam = np.sort(diag, axis=-1)[..., ::-1]
+    # Off-diagonal mass: zero the diagonal, take the norms, restore it.
+    saved = flat[:, :: n + 1].copy()
+    flat[:, :: n + 1] = 0.0
+    done = _norms(flat) <= thresh
+    flat[:, :: n + 1] = saved
     if done.all():
         return lam
     lam = lam.reshape(-1, n)

@@ -41,23 +41,22 @@ def werner_state(d: int, w) -> np.ndarray:
     inside = (w >= -1.0) & (w <= 1.0)
     if not inside.all():
         raise ValueError(f"Werner parameter must lie in [-1, 1], got {w[~inside]}")
-    # Entries are written straight into one zeroed array: the identity alone
-    # on |jk><jk| (j != k), the swap alone on |jk><kj|, both on |jj><jj|.
-    # Multiplying by 1/(d(d^2-1)) rounds exactly as dividing the complex
-    # matrix (d-w) I + (dw-1) F by d(d^2-1) does.
+    # Entries are written straight into one zeroed array, through flat
+    # positions: the identity alone on |jk><jk| (j != k), the swap alone on
+    # |jk><kj|, both on |jj><jj|. Multiplying by 1/(d(d^2-1)) rounds exactly
+    # as dividing the complex matrix (d-w) I + (dw-1) F by d(d^2-1) does.
     scale = 1.0 / (d * (d * d - 1))
     same = (d - w)[..., None]
     swap = (d * w - 1)[..., None]
-    j, k = np.divmod(np.arange(d * d), d)
+    n = d * d
+    j, k = np.divmod(np.arange(n), d)
     mixed = j != k
     jk = np.flatnonzero(mixed)
-    kj = (k * d + j)[mixed]
-    jj = np.flatnonzero(~mixed)
-    rho = np.zeros(w.shape + (d * d, d * d), dtype=complex)
-    rho[..., jk, jk] = same * scale
-    rho[..., jk, kj] = swap * scale
-    rho[..., jj, jj] = (same + swap) * scale
-    return rho
+    rho = np.zeros(w.shape + (n * n,), dtype=complex)
+    rho[..., jk * (n + 1)] = same * scale
+    rho[..., jk * n + (k * d + j)[mixed]] = swap * scale
+    rho[..., np.flatnonzero(~mixed) * (n + 1)] = (same + swap) * scale
+    return rho.reshape(w.shape + (n, n))
 
 
 def bell_state(d: int) -> np.ndarray:

@@ -97,6 +97,14 @@ class TestBlochVector:
         rho = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
             bloch_naive(rho)
+        # bloch_opt rejects with the same message, on one state and on a stack.
+        rho = random_density(3, 8)
+        rho[0, 1] += 0.3
+        message = "trace has imaginary residue 3.000e-01 > 1e-10; input is not Hermitian"
+        for fn, arg in [(bloch_naive, rho), (bloch_opt, rho), (bloch_opt, np.stack([rho.T, rho]))]:
+            with pytest.raises(ValueError) as err:
+                fn(arg)
+            assert str(err.value) == message
 
 
 class TestSubsystemBloch:
@@ -175,15 +183,32 @@ class TestCorrMatrixGatherLayouts:
     """Input layouts the flat-index gather must read correctly, against the GEMM oracle."""
 
     def _check(self, rho, da, db):
+        lead = rho.shape[:-2]
         got = corrmat_opt(rho, da, db)
-        assert got.shape == (*rho.shape[:-2], da * da - 1, db * db - 1)
-        assert np.max(np.abs(got - _realignment_oracle(rho, da, db))) <= ORACLE_TOL
+        assert got.shape == (*lead, da * da - 1, db * db - 1)
+        assert np.max(np.abs(got - _realignment_oracle(rho, da, db)), initial=0.0) <= ORACLE_TOL
+        # The marginal Bloch vectors read the same layouts; the naive path
+        # of each state's partial trace, summed in double precision, is
+        # their oracle.
+        r4 = rho.reshape(*lead, da, db, da, db).astype(complex)
+        for side, marginal in [("a", np.einsum("...ijkj->...ik", r4)),
+                               ("b", np.einsum("...jijk->...ik", r4))]:
+            vec = bloch_of_subsystem(rho, da, db, side)
+            assert vec.shape == (*lead, marginal.shape[-1] ** 2 - 1)
+            for i in np.ndindex(lead):
+                assert np.max(np.abs(vec[i] - bloch_naive(marginal[i]))) <= ORACLE_TOL
 
     def test_single_state(self, da, db):
-        self._check(random_density(da * db, 40 * da + db), da, db)
+        rho = random_density(da * db, 40 * da + db)
+        self._check(rho, da, db)
+        self._check(rho.astype(np.complex64), da, db)
+        self._check(np.rint(8 * rho.real).astype(np.int64), da, db)
 
     def test_stack_2x2(self, da, db):
         self._check(_random_stack((2, 2), da * db, 40 * da + db), da, db)
+        self._check(np.zeros((0, da * db, da * db), dtype=complex), da, db)
+        n = da * db
+        self._check(_random_stack((2,), n, 45 * da + db).reshape(2, 1, n, n), da, db)
 
     def test_non_contiguous_stack(self, da, db):
         view = np.swapaxes(_random_stack((2, 2), da * db, 50 * da + db), -1, -2).conj()
@@ -218,6 +243,11 @@ class TestReadCounting:
     def test_read_count_rejects_dimension_below_two(self, da, db):
         with pytest.raises(ValueError, match=">= 2"):
             corrmat_read_count(da, db)
+
+    def test_empty_stack_reads_nothing(self):
+        reads = ReadCounter()
+        corrmat_opt(np.zeros((0, 12, 12), dtype=complex), 3, 4, reads=reads)
+        assert reads.count == 0
 
     def test_counter_accumulates(self):
         reads = ReadCounter()

@@ -48,6 +48,17 @@ class TestXiMatrix:
         with pytest.raises(ValueError):
             xi_matrix(np.zeros(3), np.zeros((8, 3)), 2)
 
+    @pytest.mark.parametrize("da,db", [(2, 3), (3, 3), (5, 4)])
+    def test_exactly_symmetric(self, da, db):
+        n = da * db
+        rho = np.stack([random_density(n, 60 + s) for s in range(4)]).reshape(2, 2, n, n)
+        c = corrmat_opt(rho, da, db)
+        for xi in (
+            xi_matrix(bloch_of_subsystem(rho, da, db, "a"), c, db),
+            xi_matrix(bloch_of_subsystem(rho, da, db, "b"), np.swapaxes(c, -1, -2), da),
+        ):
+            assert np.array_equal(xi, np.swapaxes(xi, -1, -2))
+
 
 class TestPurity:
     @pytest.mark.parametrize("d", [2, 3, 5])

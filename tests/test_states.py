@@ -65,6 +65,24 @@ class TestWernerState:
         rep = discord_hsa(werner_state(2, 0.5), 2, 2, "a")
         assert rep.hsa_value <= 1e-14
 
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_matches_index_pair_scatter(self, d):
+        # The same entries written through (row, column) index pairs.
+        w = np.linspace(-1.0, 1.0, 41)
+        scale = 1.0 / (d * (d * d - 1))
+        same = (d - w)[..., None]
+        swap = (d * w - 1)[..., None]
+        j, k = np.divmod(np.arange(d * d), d)
+        mixed = j != k
+        jk, kj, jj = np.flatnonzero(mixed), (k * d + j)[mixed], np.flatnonzero(~mixed)
+        expect = np.zeros(w.shape + (d * d, d * d), dtype=complex)
+        expect[..., jk, jk] = same * scale
+        expect[..., jk, kj] = swap * scale
+        expect[..., jj, jj] = (same + swap) * scale
+        got = werner_state(d, w)
+        assert got.shape == expect.shape
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             werner_state(2, 1.5)
