@@ -10,8 +10,11 @@ positive-semidefinite matrix
     Xi_a = (2/(da^2 db)) (a a^t + (2/db) C C^t) = M M^t,
     M = sqrt(2/(da^2 db)) [a | sqrt(2/db) C],
 
-built from the side-a Bloch vector and the correlation matrix; forming
-it as M M^t makes it exactly symmetric. The ameliorated quantifier
+built from the side-a Bloch vector and the correlation matrix. As M M^t,
+Xi is exactly symmetric and goes to the eigensolver unchecked, which stops
+rotating at off-diagonal mass max(1e-13 ||Xi||_F, eps^2 P(rho_other)); the
+floor is quadratic in rho like Xi, so it scales with the input, and it
+skips a Xi of rounding noise (Werner, d w = 1). The ameliorated quantifier
 divides by the purity of the opposite marginal, D_hsa = D_hs / P(rho_b),
 which repairs the non-contractivity of the Hilbert-Schmidt distance.
 Side b mirrors side a with C^t C in place of C C^t. Both values vanish
@@ -35,7 +38,7 @@ import numpy as np
 
 from . import _checks
 from .bloch import bloch_of_subsystem, corrmat_opt
-from .linalg import eig_sym, ptrace_a, ptrace_b
+from .linalg import _eig_sym, ptrace_a, ptrace_b
 from .states import werner_state
 
 __all__ = [
@@ -86,8 +89,8 @@ def xi_matrix(a, c, d_other: int) -> np.ndarray:
     n = a.shape[-1] if a.ndim else 0
     d = _checks.bloch_dim(n)
     _checks.dims(d_other)
-    if c.ndim != a.ndim + 1 or c.shape[-2] != n:
-        raise ValueError(f"correlation matrix shape {c.shape} does not match side dim {d}")
+    if c.ndim != a.ndim + 1 or c.shape[-2:] != (n, d_other * d_other - 1):
+        raise ValueError(f"correlation matrix shape {c.shape} does not match dims ({d}, {d_other})")
     # M = sqrt(2/(d^2 d_other)) [a | sqrt(2/d_other) C]; numpy makes M M^t exactly symmetric.
     scale = np.sqrt(2.0 / (d * d * d_other))
     m = np.empty((*c.shape[:-1], c.shape[-1] + 1))
@@ -105,14 +108,14 @@ def discord_hs(rho, da: int, db: int, side: str = "a") -> DiscordReport:
     """
     vec = bloch_of_subsystem(rho, da, db, side)
     if side == "a":
-        xi = xi_matrix(vec, corrmat_opt(rho, da, db), db)
         pur = purity(ptrace_a(rho, da, db))
+        xi = xi_matrix(vec, corrmat_opt(rho, da, db), db)
         d_side = da
     else:
-        xi = xi_matrix(vec, np.swapaxes(corrmat_opt(rho, da, db), -1, -2), da)
         pur = purity(ptrace_b(rho, da, db))
+        xi = xi_matrix(vec, np.swapaxes(corrmat_opt(rho, da, db), -1, -2), da)
         d_side = db
-    lam = eig_sym(xi)
+    lam = _eig_sym(xi, np.finfo(float).eps ** 2 * pur)
     # Tail sum over positions d_side..d_side^2-1 (1-based); noise can leave
     # it a hair negative, so clamp.
     tail = lam[..., d_side - 1 :].sum(axis=-1)

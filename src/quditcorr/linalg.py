@@ -84,7 +84,7 @@ def check_density(rho) -> DensityMatrixCheck:
 def _norms(x) -> np.ndarray:
     """Euclidean norm of each row, reduced as np.linalg.norm reduces one vector.
 
-    The pre-check of ``eig_sym`` keeps the zeroed diagonal in each row, so
+    The pre-check of ``_eig_sym`` keeps the zeroed diagonal in each row, so
     its first convergence test can differ from ``_jacobi``'s in the last bit.
     """
     return np.sqrt(np.vecdot(x, x))
@@ -93,15 +93,10 @@ def _norms(x) -> np.ndarray:
 def eig_sym(m) -> np.ndarray:
     """Eigenvalues of a real symmetric matrix, sorted non-increasing.
 
-    Cyclic Jacobi rotations; converged when the off-diagonal Frobenius mass
-    drops below JACOBI_TOL times the Frobenius norm of the input. Inputs with
-    symmetry defect above 1e-10 are rejected; smaller defects are absorbed by
-    symmetrizing as (m + m^t)/2.
-
-    A stack (..., n, n) gives eigenvalues of shape (..., n). The symmetry
-    check and the first convergence test run once over the whole stack; a
-    matrix that already passes the test returns its sorted diagonal, and
-    only the others go through the rotation loop, one at a time.
+    Cyclic Jacobi rotations (``_eig_sym``, no floor); converged when the
+    off-diagonal Frobenius mass drops below JACOBI_TOL times the Frobenius
+    norm of the input. Inputs with symmetry defect above 1e-10 are rejected;
+    smaller ones are absorbed as (m + m^t)/2. A stack (..., n, n) gives (..., n).
     """
     m = _checks.square(np.asarray(m, dtype=float))
     mt = np.swapaxes(m, -1, -2)
@@ -112,13 +107,23 @@ def eig_sym(m) -> np.ndarray:
         raise ValueError("matrix is not symmetric within 1e-10")
     np.add(m, mt, out=a)
     a /= 2.0
+    return _eig_sym(a, 0.0)
+
+
+def _eig_sym(a, floor) -> np.ndarray:
+    """Eigenvalues of the exactly symmetric float stack a, which it may overwrite.
+
+    A matrix converges at off-diagonal Frobenius mass max(JACOBI_TOL ||a||_F,
+    floor), floor a scalar or one per matrix. One test over the stack gives
+    the sorted diagonal of each matrix that passes; the others are rotated.
+    """
     n = a.shape[-1]
     diag = np.diagonal(a, axis1=-2, axis2=-1)
     if n == 1:
         return diag.copy()
 
     flat = a.reshape(-1, n * n)
-    thresh = JACOBI_TOL * _norms(flat)
+    thresh = np.maximum(JACOBI_TOL * _norms(flat), np.ravel(floor))
     lam = np.sort(diag, axis=-1)[..., ::-1]
     # Off-diagonal mass: zero the diagonal, take the norms, restore it.
     saved = flat[:, :: n + 1].copy()

@@ -7,6 +7,8 @@ seed reproduces the same matrix bit for bit on any platform.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import _checks
@@ -49,14 +51,24 @@ def werner_state(d: int, w) -> np.ndarray:
     same = (d - w)[..., None]
     swap = (d * w - 1)[..., None]
     n = d * d
-    j, k = np.divmod(np.arange(n), d)
-    mixed = j != k
-    jk = np.flatnonzero(mixed)
+    identity, swapped, both = _werner_positions(d)
     rho = np.zeros(w.shape + (n * n,), dtype=complex)
-    rho[..., jk * (n + 1)] = same * scale
-    rho[..., jk * n + (k * d + j)[mixed]] = swap * scale
-    rho[..., np.flatnonzero(~mixed) * (n + 1)] = (same + swap) * scale
+    rho[..., identity] = same * scale
+    rho[..., swapped] = swap * scale
+    rho[..., both] = (same + swap) * scale
     return rho.reshape(w.shape + (n, n))
+
+
+@lru_cache(maxsize=None)
+def _werner_positions(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only flat positions of |jk><jk| and |jk><kj| (j != k), and of |jj><jj|."""
+    n = d * d
+    j, k = np.divmod(np.arange(n), d)
+    jk = np.flatnonzero(j != k)
+    positions = (jk * (n + 1), jk * n + k[jk] * d + j[jk], np.flatnonzero(j == k) * (n + 1))
+    for p in positions:
+        p.setflags(write=False)
+    return positions
 
 
 def bell_state(d: int) -> np.ndarray:

@@ -10,8 +10,10 @@ from quditcorr import (
     corrmat_opt,
     discord_hs,
     discord_hsa,
+    eig_sym,
     kron,
     ptrace_a,
+    ptrace_b,
     purity,
     random_cq_state,
     random_density,
@@ -47,6 +49,10 @@ class TestXiMatrix:
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
             xi_matrix(np.zeros(3), np.zeros((8, 3)), 2)
+        # C of a 2x3 state has 8 columns, not the 3 that d_other = 2 gives.
+        rho = random_density(6, 7)
+        with pytest.raises(ValueError, match="does not match"):
+            xi_matrix(bloch_of_subsystem(rho, 2, 3, "a"), corrmat_opt(rho, 2, 3), 2)
 
     @pytest.mark.parametrize("da,db", [(2, 3), (3, 3), (5, 4)])
     def test_exactly_symmetric(self, da, db):
@@ -98,6 +104,35 @@ class TestDiscordHs:
     def test_rejects_bad_side(self):
         with pytest.raises(ValueError):
             discord_hs(bell_state(2), 2, 2, "x")
+
+    @staticmethod
+    def _composed(rho, da, db, side):
+        """The report's fields through the public functions alone, eig_sym with its checks."""
+        c = corrmat_opt(rho, da, db)
+        vec = bloch_of_subsystem(rho, da, db, side)
+        if side == "a":
+            lam, pur, d_side = eig_sym(xi_matrix(vec, c, db)), purity(ptrace_a(rho, da, db)), da
+        else:
+            xi = xi_matrix(vec, np.swapaxes(c, -1, -2), da)
+            lam, pur, d_side = eig_sym(xi), purity(ptrace_b(rho, da, db)), db
+        return lam, np.maximum(0.0, lam[..., d_side - 1 :].sum(axis=-1)), pur
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("da,db", [(2, 5), (5, 2), (3, 4)])
+    def test_equals_public_composition(self, da, db, side):
+        n = da * db
+        full = np.stack([random_density(n, 40 + s) for s in range(4)])
+        cq = np.stack([random_cq_state(da, db, 50 + s) for s in range(4)])
+        inputs = [full[0], cq[0], full.reshape(2, 2, n, n), cq.reshape(2, 2, n, n)]
+        inputs += [np.swapaxes(full, -1, -2).conj(), np.zeros((0, n, n), dtype=complex)]
+        for rho in inputs:
+            rep = discord_hs(rho, da, db, side)
+            lam, hs, pur = self._composed(rho, da, db, side)
+            assert np.array_equal(rep.xi_eigenvalues, lam)
+            assert np.array_equal(rep.hs_value, hs) and np.array_equal(rep.purity_other, pur)
+            assert np.array_equal(rep.hsa_value, hs / pur)
+            one = float if rho.ndim == 2 else np.ndarray
+            assert type(rep.hs_value) is type(rep.purity_other) is one
 
 
 class TestDiscordHsa:

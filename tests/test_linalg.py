@@ -197,5 +197,12 @@ class TestEigSym:
         with pytest.raises(ValueError):
             eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_tiny_matrix_has_no_floor(self):
+        # The noise floor belongs to discord; the public solver rotates at any scale.
+        g = np.random.default_rng(4).standard_normal((6, 6))
+        m = 1e-40 * (g + g.T)
+        want = np.linalg.eigvalsh(m)[::-1]
+        assert np.max(np.abs(eig_sym(m) - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_convergence_error_exists(self):
         assert issubclass(ConvergenceError, RuntimeError)

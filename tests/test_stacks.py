@@ -23,6 +23,7 @@ from quditcorr import (
     werner_sweep,
     xi_matrix,
 )
+from quditcorr import linalg
 
 DIMS = [(2, 3), (3, 2), (4, 9), (5, 7), (12, 2)]
 LEADS = [(3,), (2, 2)]
@@ -194,10 +195,22 @@ def test_werner_sweep_matches_per_state_loop():
     want = _sweep_reference(2, 8, 41)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= TOL
-    # d w = 1 at d = 5, w = 0.2: Xi is noise around zero and takes the rotation loop.
+    # d w = 1 at d = 5, w = 0.2: Xi is noise around zero, below discord's floor.
     row = 3 * 41 + 24
     assert got[row, 0] == 5 and abs(got[row, 1] - 0.2) <= 1e-15
     assert got[row, 3] <= 1e-15
+
+
+def test_werner_sweep_rotates_no_xi(monkeypatch):
+    # Every Werner Xi is diagonal or, at d w = 1, rounding noise under the floor.
+    def no_rotations(a, thresh):
+        raise AssertionError(f"rotated a Xi with threshold {thresh}")
+
+    monkeypatch.setattr(linalg, "_jacobi", no_rotations)
+    rows = np.array(werner_sweep(2, 8, 41))
+    row = rows[3 * 41 + 24]
+    assert row[0] == 5 and abs(row[1] - 0.2) <= 1e-15
+    assert row[2] <= 1e-30
 
 
 def test_werner_sweep_memory_stays_bounded():

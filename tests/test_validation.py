@@ -4,7 +4,7 @@ The rules are a 2-D matrix, a square matrix or a stack (..., n, n) of them,
 a single matrix on the naive paths, n = da*db for a bipartite state, a
 dimension floor (1 for the partial traces, 2 wherever generators are
 involved), a Bloch length d^2 - 1 and a correlation matrix that matches its
-Bloch vector. The second table pins inputs at the edge of each domain that
+Bloch vector and the opposite dimension. The second table pins inputs at the edge of each domain that
 are accepted.
 """
 
@@ -77,11 +77,12 @@ REJECTED = {
     "reconstruct-bloch-length-b": lambda: q.reconstruct(np.zeros(3), np.zeros(7), np.zeros((3, 7))),
     "reconstruct-bloch-length-zero": lambda: q.reconstruct(np.zeros(0), np.zeros(3), np.zeros((0, 3))),
     "reconstruct-c-mismatch": lambda: q.reconstruct(np.zeros(3), np.zeros(8), np.zeros((8, 3))),
-    # xi_matrix: Bloch length, opposite dimension >= 2, C against a
+    # xi_matrix: Bloch length, opposite dimension >= 2, C against a and d_other
     "xi_matrix-bloch-length": lambda: q.xi_matrix(np.zeros(4), np.zeros((4, 3)), 2),
     "xi_matrix-scalar-vector": lambda: q.xi_matrix(np.float64(0.0), np.zeros((3, 3)), 2),
     "xi_matrix-below-floor": lambda: q.xi_matrix(np.zeros(3), np.zeros((3, 0)), 1),
     "xi_matrix-c-mismatch": lambda: q.xi_matrix(np.zeros(3), np.zeros((8, 3)), 3),
+    "xi_matrix-c-columns": lambda: q.xi_matrix(np.zeros(3), np.zeros((3, 8)), 2),
     "xi_matrix-c-ndim": lambda: q.xi_matrix(np.zeros((2, 3)), np.zeros((3, 3)), 2),
     # purity: square stacks
     "purity-ndim": lambda: q.purity(VEC1),
