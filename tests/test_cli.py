@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from quditcorr import (
+    ConvergenceError,
     bell_state,
     bloch_of_subsystem,
     corrmat_opt,
@@ -300,6 +301,28 @@ class TestInvalidInputs:
         assert main(["corrmat", "--input", str(path)]) == 0
         assert len(_lines(capsys)) == 3
 
+    @pytest.mark.parametrize("da, db, argv", [
+        (2, 2, ["bloch", "--input", "{f}", "--subsys", "a"]),
+        (2, 2, ["bloch", "--input", "{f}", "--subsys", "a", "--naive"]),
+        (2, 2, ["bloch", "--input", "{f}", "--subsys", "b"]),
+        (2, 2, ["bloch", "--input", "{f}", "--subsys", "b", "--naive"]),
+        (2, 2, ["corrmat", "--input", "{f}"]),
+        (2, 2, ["corrmat", "--input", "{f}", "--naive"]),
+        (2, 2, ["discord", "--measure", "hs", "--subsys", "a", "--input", "{f}"]),
+        (3, 0, ["bloch", "--input", "{f}"]),
+        (3, 0, ["bloch", "--input", "{f}", "--naive"]),
+    ])
+    def test_every_command_accepts_defect_within_tolerance(self, tmp_path, capsys, da, db, argv):
+        # 1e-9 is inside the documented 1e-8 tolerance but above the library's
+        # 1e-10 trace residue check, which must not decide the exit code.
+        rho = random_density(da * max(db, 1), 5)
+        rho[0, 1] += 1e-9
+        path = tmp_path / "nearly.mat"
+        write_matrix_file(path, rho, da, db)
+        assert main([arg.format(f=path) for arg in argv]) == 0
+        captured = capsys.readouterr()
+        assert captured.out and captured.err == ""
+
     def test_huge_header_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "huge.mat"
         path.write_text("3000 3000\n0.5 0\n")
@@ -316,6 +339,17 @@ class TestInvalidInputs:
         err = capsys.readouterr().err
         assert "not a density matrix" in err
         assert "min eigenvalue -1.000e-01" in err
+
+
+def test_convergence_failure_is_numeric_error(random_file, capsys, monkeypatch):
+    def fail(*args):
+        raise ConvergenceError("no convergence")
+
+    monkeypatch.setattr(cli, "discord_hs", fail)
+    assert main(["discord", "--measure", "hs", "--input", random_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 class TestUsageErrors:
