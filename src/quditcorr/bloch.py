@@ -111,18 +111,17 @@ def _bloch_plan(da: int, db: int, side: str) -> tuple[np.ndarray, np.ndarray]:
 
     Row r of the (d*d, k) index holds the k floats, one per traced-out
     ket, whose sum is float r of the marginal: Re of the diagonal, then Re
-    and Im of the lower off-diagonals. One state is da = d, db = 1. The
-    (d, d-1) weights carry the factor d/2.
+    and Im of the lower off-diagonals. It is cut from ``_corr_plan``'s
+    index: side a stacks the diagonal grid over g2, side b the transposed
+    grid over the transposed g1. One state is da = d, db = 1. The (d, d-1)
+    weights carry the factor d/2.
     """
-    n = da * db
-    # Ket |i t> of the kept index i and traced index t sits at i*keep + t*step.
-    d, k, keep, step = (da, db, db, 1) if side == "a" else (db, da, 1, db)
-    t = step * np.arange(k)
-    kk, ll = _pairs(d)
-    diag = keep * np.arange(d)[:, None] + t
-    off = (keep * ll[:, None] + t) * n + keep * kk[:, None] + t
-    index = 2 * np.concatenate([diag * (n + 1), off, off]).astype(np.intp)
-    index[d + kk.size :] += 1
+    corr, (c1, c2, c3) = _corr_plan(da, db)[:2]
+    grid = corr[:c1].reshape(da, db)
+    if side == "a":
+        d, index = da, np.vstack([grid, corr[c2:c3].reshape(-1, db)])
+    else:
+        d, index = db, np.vstack([grid.T, corr[c1:c2].reshape(da, -1).T])
     weights = 0.5 * d * _diag_weights(d).T
     index.setflags(write=False)
     weights.setflags(write=False)
@@ -194,6 +193,8 @@ def _corr_plan(da: int, db: int):
     as (4, pairs_a, pairs_b): Re e1, Im e1, Re e2, Im e2. No element is
     listed twice. Also returned: the group ends, the complex elements read,
     side a's diagonal weights whole and halved, and side b's transposed.
+    ``_bloch_plan`` cuts both marginals' gathers from this index, so it is
+    the one map from kets to float offsets.
     """
     n = da * db
     ma, na = _pairs(da)
@@ -233,7 +234,8 @@ def corrmat_opt(rho, da: int, db: int, reads: ReadCounter | None = None) -> np.n
     diagonal grid <mp|rho|mp>, the one-sided off-diagonals <mq|rho|mp>
     and <np|rho|mp>, and the two-sided off-diagonals <nq|rho|mp> and
     <np|rho|mq> (m < n on side a, p < q on side b) for all nine group
-    blocks; Hermiticity of rho makes any other element redundant. Pass a
+    blocks; Hermiticity of rho makes any other element redundant. It reads
+    that one triangle only and does not test Hermiticity. Pass a
     ReadCounter to tally the elements touched, summed over a stack.
     """
     rho = _checks.bipartite(rho, da, db)

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .bench import DEFAULT_CAP_SECONDS, DEFAULT_TRIALS, run_bench
-from .bloch import bloch_naive, bloch_opt, corrmat_naive, corrmat_opt
+from .bloch import bloch_naive, bloch_of_subsystem, bloch_opt, corrmat_naive, corrmat_opt
 from .discord import discord_hs, purity, werner_sweep
 from .gellmann import gellmann
 from .linalg import ConvergenceError, check_density, ptrace_a, ptrace_b
@@ -66,25 +66,23 @@ def _print_matrix(m) -> None:
         print(" ".join(map(_format_value, row)))
 
 
-def _require_hermitian(path, rho):
-    # The cheap part of the density check: bloch and corrmat read only one
-    # triangle of rho, so a non-Hermitian file would otherwise get an answer.
-    # They compute on the exactly Hermitian part, so the library's stricter
-    # residue checks never decide the exit code of a file that passes here.
+def _load(path, bipartite=True):
+    """Every file command's one input check: return (rho + rho^dagger)/2, da, db.
+
+    The kernels read one triangle of rho, so a non-Hermitian file is rejected
+    here; the Hermitian part keeps the library's stricter residue checks from
+    deciding the exit code of a file that passes.
+    """
+    rho, da, db = parse_matrix_file(path)
+    if bipartite and db == 0:
+        raise DataError(f"{path}: bipartite matrix required, got single-system header")
+    if min(da, db or da) < 2:
+        raise DataError(f"{path}: subsystem dimensions must be >= 2, got ({da}, {db})")
     rho_h = rho.conj().T
     defect = float(np.max(np.abs(rho - rho_h)))
     if defect > DENSITY_DEFECT_TOL:
         raise DataError(f"{path}: not a density matrix (hermiticity defect {defect:.3e})")
-    return (rho + rho_h) / 2
-
-
-def _load_bipartite(path):
-    rho, da, db = parse_matrix_file(path)
-    if db == 0:
-        raise DataError(f"{path}: bipartite matrix required, got single-system header")
-    if da < 2 or db < 2:
-        raise DataError(f"{path}: subsystem dimensions must be >= 2, got ({da}, {db})")
-    return rho, da, db
+    return (rho + rho_h) / 2, da, db
 
 
 def _cmd_gellmann(args) -> int:
@@ -97,40 +95,30 @@ def _cmd_gellmann(args) -> int:
 
 
 def _cmd_bloch(args) -> int:
-    rho, da, db = parse_matrix_file(args.input)
-    rho = _require_hermitian(args.input, rho)
+    rho, da, db = _load(args.input, bipartite=False)
     if db == 0:
-        rho_s = rho
-    elif args.subsys == "a":
-        rho_s = ptrace_b(rho, da, db)
+        v = bloch_naive(rho) if args.naive else bloch_opt(rho)
+    elif args.naive:
+        v = bloch_naive(ptrace_b(rho, da, db) if args.subsys == "a" else ptrace_a(rho, da, db))
     else:
-        rho_s = ptrace_a(rho, da, db)
-    if rho_s.shape[0] < 2:
-        raise DataError(f"{args.input}: subsystem dimension must be >= 2")
-    _print_vector(bloch_naive(rho_s) if args.naive else bloch_opt(rho_s))
+        v = bloch_of_subsystem(rho, da, db, args.subsys)
+    _print_vector(v)
     return EXIT_OK
 
 
 def _cmd_corrmat(args) -> int:
-    rho, da, db = _load_bipartite(args.input)
-    rho = _require_hermitian(args.input, rho)
+    rho, da, db = _load(args.input)
     c = corrmat_naive(rho, da, db) if args.naive else corrmat_opt(rho, da, db)
     _print_matrix(c)
     return EXIT_OK
 
 
 def _cmd_discord(args) -> int:
-    rho, da, db = _load_bipartite(args.input)
+    rho, da, db = _load(args.input)
     report = check_density(rho)
-    if (
-        report.hermiticity_defect > DENSITY_DEFECT_TOL
-        or report.trace_defect > DENSITY_DEFECT_TOL
-        or report.min_eigenvalue < -DENSITY_DEFECT_TOL
-    ):
+    if report.trace_defect > DENSITY_DEFECT_TOL or report.min_eigenvalue < -DENSITY_DEFECT_TOL:
         raise DataError(
-            f"{args.input}: not a density matrix "
-            f"(hermiticity defect {report.hermiticity_defect:.3e}, "
-            f"trace defect {report.trace_defect:.3e}, "
+            f"{args.input}: not a density matrix (trace defect {report.trace_defect:.3e}, "
             f"min eigenvalue {report.min_eigenvalue:.3e})"
         )
     if args.measure == "purity":
@@ -207,7 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--naive", action="store_true", help="use the Kronecker-product path")
     p.set_defaults(func=_cmd_corrmat)
 
-    p = sub.add_parser("discord", help="print a Hilbert-Schmidt discord value")
+    p = sub.add_parser("discord", help="print a Hilbert-Schmidt discord value", description=(
+        "Print a Hilbert-Schmidt discord value. For a measured side of dimension >= 3 it is"
+        " the eigenvalue-tail lower bound on the variational Hilbert-Schmidt discord"
+        " (Rana & Parashar, PRA 85, 024102; Hassan, Lari & Joag, PRA 85, 024302)."))
     p.add_argument("--measure", choices=("hs", "hsa", "purity"), required=True)
     p.add_argument("--subsys", choices=("a", "b"), default="a")
     p.add_argument("--input", required=True)

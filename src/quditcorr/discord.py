@@ -22,7 +22,8 @@ exactly on classical-quantum states sum_j p_j |a_j><a_j| x rho_j.
 
 The variational definition of the Hilbert-Schmidt discord (a minimum over
 classical-quantum states) is not solved here; the closed-form eigenvalue
-expression above is what this module computes and reports.
+expression above is what this module computes and reports. It is exact on a
+measured qubit and a lower bound on a side of dimension >= 3.
 
 Every function here also takes a stack of states (or of Bloch vectors and
 correlation matrices) along leading axes and returns one result per state.

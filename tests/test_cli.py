@@ -9,6 +9,7 @@ from quditcorr import (
     bell_state,
     bloch_of_subsystem,
     corrmat_opt,
+    discord_hs,
     random_density,
     werner_state,
     write_matrix_file,
@@ -323,6 +324,28 @@ class TestInvalidInputs:
         captured = capsys.readouterr()
         assert captured.out and captured.err == ""
 
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("measure", ["hs", "hsa"])
+    def test_discord_computes_on_hermitian_part(self, tmp_path, capsys, measure, side):
+        # discord prints the library value of (rho + rho^dagger)/2, the same
+        # matrix bloch and corrmat compute on.
+        rho = random_density(4, 5)
+        rho[0, 1] += 1e-9
+        path = tmp_path / "nearly.mat"
+        write_matrix_file(path, rho, 2, 2)
+        rep = discord_hs((rho + rho.conj().T) / 2, 2, 2, side)
+        value = rep.hs_value if measure == "hs" else rep.hsa_value
+        assert main(["discord", "--measure", measure, "--subsys", side, "--input", str(path)]) == 0
+        assert _lines(capsys) == [f"{measure} {side} 2 2 {cli._fmt(value)}"]
+
+    def test_bloch_rejects_dimension_one_side(self, tmp_path, capsys):
+        path = tmp_path / "one.mat"
+        write_matrix_file(path, np.eye(3, dtype=complex) / 3, 1, 3)
+        assert main(["bloch", "--input", str(path), "--subsys", "b"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}: subsystem dimensions must be >= 2, got (1, 3)" in captured.err
+
     def test_huge_header_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "huge.mat"
         path.write_text("3000 3000\n0.5 0\n")
@@ -372,3 +395,18 @@ def test_console_script_smoke():
     # argparse --help exits 0 through the module entry
     assert proc.returncode == 0
     assert "werner-sweep" in proc.stdout
+
+
+def test_module_entry_exits_2_on_non_hermitian_file(tmp_path):
+    rho = random_density(4, 5)
+    rho[0, 1] += 0.3
+    path = tmp_path / "nonherm.mat"
+    write_matrix_file(path, rho, 2, 2)
+    proc = subprocess.run(
+        [sys.executable, "-m", "quditcorr.cli", "discord", "--measure", "hs", "--input", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "not a density matrix (hermiticity defect 3.000e-01)" in proc.stderr

@@ -22,6 +22,8 @@ from quditcorr import (
     xi_matrix,
 )
 
+from conftest import isotropic_state, random_pure_state
+
 
 class TestXiMatrix:
     def test_zero_inputs(self):
@@ -234,3 +236,55 @@ class TestBasisFreeOracle:
     @pytest.mark.parametrize("da,db", [(5, 7), (7, 5)])
     def test_asymmetric_five_by_seven(self, da, db, side):
         _assert_matches_oracle(random_density(da * db, 57 + da), da, db, side)
+
+
+class TestClosedForms:
+    """Discord of states whose Hilbert-Schmidt discord is known in closed form."""
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_isotropic_state(self, d, p, side):
+        rep = discord_hs(isotropic_state(d, p), d, d, side)
+        assert abs(rep.hs_value - p * p * (d - 1) / d) <= 1e-12
+        assert abs(rep.hsa_value - p * p * (d - 1)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 16, 32, 64])
+    def test_pure_qubit_side(self, d):
+        # Measured on a qubit, a pure state's discord is its linear entropy.
+        rho, schmidt = random_pure_state(2, d, 700 + d)
+        assert abs(discord_hs(rho, 2, d, "a").hs_value - (1.0 - np.sum(schmidt**2))) <= 1e-12
+
+    @pytest.mark.parametrize("da,db", [(3, 3), (4, 4), (3, 5)])
+    def test_pure_qudit_side_is_a_lower_bound(self, da, db):
+        # On a side of dimension >= 3 the eigenvalue tail bounds the
+        # variational discord, which is the linear entropy, from below.
+        rho, schmidt = random_pure_state(da, db, 800 + da * db)
+        hs = discord_hs(rho, da, db, "a").hs_value
+        assert 0.0 < hs <= 1.0 - np.sum(schmidt**2) + 1e-12
+
+
+def _haar(d, rng):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (r.diagonal() / np.abs(r.diagonal()))
+
+
+class TestLocalUnitaryInvariance:
+    @seed(20120224)
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(
+        da=st.integers(2, 4),
+        db=st.integers(2, 4),
+        cq=st.booleans(),
+        state_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_values_unchanged_by_local_unitaries(self, da, db, cq, state_seed):
+        rho = random_cq_state(da, db, state_seed) if cq else random_density(da * db, state_seed)
+        rng = np.random.default_rng(state_seed)
+        u = np.kron(_haar(da, rng), _haar(db, rng))
+        turned = u @ rho @ u.conj().T
+        for side in ("a", "b"):
+            before, after = discord_hs(rho, da, db, side), discord_hs(turned, da, db, side)
+            tol = 1e-12 * max(1.0, before.hs_value)
+            assert abs(after.hs_value - before.hs_value) <= tol
+            assert abs(after.hsa_value - before.hsa_value) <= tol
