@@ -18,7 +18,7 @@ from .bench import DEFAULT_CAP_SECONDS, DEFAULT_TRIALS, run_bench
 from .bloch import bloch_naive, bloch_of_subsystem, bloch_opt, corrmat_naive, corrmat_opt
 from .discord import discord_hs, purity, werner_sweep
 from .gellmann import gellmann
-from .linalg import ConvergenceError, check_density, ptrace_a, ptrace_b
+from .linalg import ConvergenceError, ptrace_a, ptrace_b
 from .matfile import MatrixFileError, parse_matrix_file
 
 EXIT_OK = 0
@@ -115,11 +115,12 @@ def _cmd_corrmat(args) -> int:
 
 def _cmd_discord(args) -> int:
     rho, da, db = _load(args.input)
-    report = check_density(rho)
-    if report.trace_defect > DENSITY_DEFECT_TOL or report.min_eigenvalue < -DENSITY_DEFECT_TOL:
+    trace_defect = float(abs(np.trace(rho) - 1.0))
+    min_eig = float(np.linalg.eigvalsh(rho)[0])
+    if trace_defect > DENSITY_DEFECT_TOL or min_eig < -DENSITY_DEFECT_TOL:
         raise DataError(
-            f"{args.input}: not a density matrix (trace defect {report.trace_defect:.3e}, "
-            f"min eigenvalue {report.min_eigenvalue:.3e})"
+            f"{args.input}: not a density matrix (trace defect {trace_defect:.3e}, "
+            f"min eigenvalue {min_eig:.3e})"
         )
     if args.measure == "purity":
         marginal = ptrace_b(rho, da, db) if args.subsys == "a" else ptrace_a(rho, da, db)

@@ -3,8 +3,9 @@
 Matrices are plain 2-D numpy arrays (complex128, row-major). Math indices
 in docstrings are 1-based, kets |k> run k = 1..d; storage is 0-based as
 usual. A bipartite basis ket |np> sits at flat index (n-1)*db + (p-1).
-The partial traces and ``eig_sym`` also take stacks of shape (..., n, n)
-and act on each matrix of the stack.
+The partial traces also take stacks of shape (..., n, n) and act on each
+matrix of the stack. ``_eig_sym`` is private to ``discord_hs``; for any other
+symmetric matrix ``numpy.linalg.eigvalsh(m)[..., ::-1]`` gives its eigenvalues.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "ptrace_a",
     "ptrace_b",
     "check_density",
-    "eig_sym",
 ]
 
 #: Off-diagonal convergence threshold of the Jacobi sweep, relative to the
@@ -90,26 +90,6 @@ def _norms(x) -> np.ndarray:
     return np.sqrt(np.vecdot(x, x))
 
 
-def eig_sym(m) -> np.ndarray:
-    """Eigenvalues of a real symmetric matrix, sorted non-increasing.
-
-    Cyclic Jacobi rotations (``_eig_sym``, no floor); converged when the
-    off-diagonal Frobenius mass drops below JACOBI_TOL times the Frobenius
-    norm of the input. Inputs with symmetry defect above 1e-10 are rejected;
-    smaller ones are absorbed as (m + m^t)/2. A stack (..., n, n) gives (..., n).
-    """
-    m = _checks.square(np.asarray(m, dtype=float))
-    mt = np.swapaxes(m, -1, -2)
-    # One scratch array holds |m - m^t|, then (m + m^t)/2.
-    a = np.subtract(m, mt)
-    np.abs(a, out=a)
-    if np.max(a, initial=0.0) > 1e-10:
-        raise ValueError("matrix is not symmetric within 1e-10")
-    np.add(m, mt, out=a)
-    a /= 2.0
-    return _eig_sym(a, 0.0)
-
-
 def _eig_sym(a, floor) -> np.ndarray:
     """Eigenvalues of the exactly symmetric float stack a, which it may overwrite.
 
@@ -119,9 +99,6 @@ def _eig_sym(a, floor) -> np.ndarray:
     """
     n = a.shape[-1]
     diag = np.diagonal(a, axis1=-2, axis2=-1)
-    if n == 1:
-        return diag.copy()
-
     flat = a.reshape(-1, n * n)
     thresh = np.maximum(JACOBI_TOL * _norms(flat), np.ravel(floor))
     lam = np.sort(diag, axis=-1)[..., ::-1]

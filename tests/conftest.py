@@ -1,8 +1,15 @@
-"""State builders whose discord has a closed form, shared by the test modules."""
+"""Helpers shared by the test modules: state builders whose discord has a
+closed form, and discord's eigensolver without its floor."""
 
 import numpy as np
 
 from quditcorr import bell_state
+from quditcorr.linalg import _eig_sym
+
+
+def eig_no_floor(m) -> np.ndarray:
+    """Eigenvalues of the symmetric matrix or stack m from discord's solver at floor 0."""
+    return _eig_sym(np.array(m, dtype=float), 0.0)
 
 
 def isotropic_state(d: int, p: float) -> np.ndarray:

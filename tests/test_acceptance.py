@@ -16,7 +16,6 @@ from quditcorr import (
     corrmat_read_count,
     discord_hs,
     discord_hsa,
-    eig_sym,
     fit_exponent,
     gellmann_basis,
     ptrace_a,
@@ -132,7 +131,7 @@ def test_criterion_6_bell_value():
     rho = bell_state(2)
     xi = xi_matrix(bloch_of_subsystem(rho, 2, 2, "a"), corrmat_opt(rho, 2, 2), 2)
     xi_defect = np.max(np.abs(xi - np.eye(3) / 4))
-    hs = max(0.0, float(eig_sym(xi)[1:].sum()))
+    hs = max(0.0, float(np.linalg.eigvalsh(xi)[::-1][1:].sum()))
     api_hs = discord_hs(rho, 2, 2, "a").hs_value
     _verdict(
         6,

@@ -363,6 +363,14 @@ class TestInvalidInputs:
         assert "not a density matrix" in err
         assert "min eigenvalue -1.000e-01" in err
 
+    def test_discord_rejects_trace_defect(self, tmp_path, capsys):
+        path = tmp_path / "trace.mat"
+        write_matrix_file(path, 1.5 * random_density(4, 5), 2, 2)
+        assert main(["discord", "--measure", "hs", "--subsys", "a", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}: not a density matrix (trace defect 5.000e-01, min eigenvalue " in captured.err
+
 
 def test_convergence_failure_is_numeric_error(random_file, capsys, monkeypatch):
     def fail(*args):

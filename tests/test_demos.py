@@ -1,6 +1,7 @@
-"""Every narrative script under demos/ runs to completion against src/."""
+"""Every narrative script under demos/, and README's Python example, runs against src/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,18 +16,30 @@ def test_demos_found():
     assert DEMOS
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(script):
+def _run(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, str(script)],
+    return subprocess.run(
+        [sys.executable, *args],
         cwd=ROOT,
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(script):
+    proc = _run(str(script))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_python_block_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    proc = _run("-c", blocks[0])
     assert proc.returncode == 0, proc.stderr

@@ -10,7 +10,6 @@ from quditcorr import (
     corrmat_opt,
     discord_hs,
     discord_hsa,
-    eig_sym,
     kron,
     ptrace_a,
     ptrace_b,
@@ -21,6 +20,7 @@ from quditcorr import (
     werner_state,
     xi_matrix,
 )
+from quditcorr.linalg import _eig_sym
 
 from conftest import isotropic_state, random_pure_state
 
@@ -109,14 +109,15 @@ class TestDiscordHs:
 
     @staticmethod
     def _composed(rho, da, db, side):
-        """The report's fields through the public functions alone, eig_sym with its checks."""
+        """The report's fields through the public functions and the solver at discord's floor."""
         c = corrmat_opt(rho, da, db)
         vec = bloch_of_subsystem(rho, da, db, side)
         if side == "a":
-            lam, pur, d_side = eig_sym(xi_matrix(vec, c, db)), purity(ptrace_a(rho, da, db)), da
+            xi, pur, d_side = xi_matrix(vec, c, db), purity(ptrace_a(rho, da, db)), da
         else:
             xi = xi_matrix(vec, np.swapaxes(c, -1, -2), da)
-            lam, pur, d_side = eig_sym(xi), purity(ptrace_b(rho, da, db)), db
+            pur, d_side = purity(ptrace_b(rho, da, db)), db
+        lam = _eig_sym(xi, np.finfo(float).eps ** 2 * pur)
         return lam, np.maximum(0.0, lam[..., d_side - 1 :].sum(axis=-1)), pur
 
     @pytest.mark.parametrize("side", ["a", "b"])
@@ -137,6 +138,17 @@ class TestDiscordHs:
             assert type(rep.hs_value) is type(rep.purity_other) is one
 
 
+class TestRankBound:
+    # Xi = M M^t and M has d_other^2 columns, so at most d_other^2 eigenvalues
+    # are nonzero and the tail from position d is empty when d_other^2 <= d - 1.
+    @pytest.mark.parametrize("cq", [False, True])
+    @pytest.mark.parametrize("da,db,side", [(5, 2, "a"), (6, 2, "a"), (2, 5, "b"), (2, 6, "b")])
+    def test_tail_vanishes(self, da, db, side, cq):
+        for state_seed in range(10):
+            rho = random_cq_state(da, db, state_seed) if cq else random_density(da * db, state_seed)
+            assert discord_hs(rho, da, db, side).hs_value <= 1e-14
+
+
 class TestDiscordHsa:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_werner_ratio_is_dimension(self, d):
@@ -152,9 +164,19 @@ class TestDiscordHsa:
             rep = discord_hsa(werner_state(d, w), d, d, "a")
             assert abs(rep.hsa_value - werner_analytic(d, w)) <= 1e-10
 
-    def test_product_state_vanishes(self):
-        rho = kron(random_density(2, 1), random_density(3, 2))
-        assert discord_hsa(rho, 2, 3, "a").hsa_value <= 1e-12
+    @seed(20100901)
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(
+        da=st.integers(2, 4),
+        db=st.integers(2, 4),
+        side=st.sampled_from("ab"),
+        state_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_product_state_vanishes(self, da, db, side, state_seed):
+        rho = kron(random_density(da, state_seed), random_density(db, state_seed + 1))
+        rep = discord_hsa(rho, da, db, side)
+        assert rep.hs_value <= 1e-14
+        assert rep.hsa_value <= 1e-12
 
     @pytest.mark.parametrize("side", ["a", "b"])
     def test_identity_with_independent_purity(self, side):

@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from quditcorr import (
     bell_state,
     check_density,
-    eig_sym,
     gellmann,
     kron,
     ptrace_a,
@@ -15,6 +14,8 @@ from quditcorr import (
     werner_state,
 )
 from quditcorr.linalg import ConvergenceError
+
+from conftest import eig_no_floor
 
 
 def _ptrace_b_loop(rho, da, db):
@@ -164,17 +165,17 @@ class TestCheckDensity:
 
 class TestEigSym:
     def test_diagonal(self):
-        assert_allclose(eig_sym(np.diag([3.0, 1.0, 2.0])), [3.0, 2.0, 1.0], atol=0)
+        assert_allclose(eig_no_floor(np.diag([3.0, 1.0, 2.0])), [3.0, 2.0, 1.0], atol=0)
 
     def test_scaled_identity(self):
-        assert_allclose(eig_sym(np.eye(3) / 4), [0.25, 0.25, 0.25], atol=0)
+        assert_allclose(eig_no_floor(np.eye(3) / 4), [0.25, 0.25, 0.25], atol=0)
 
     def test_charpoly_oracle_random(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             m = rng.standard_normal((3, 3))
             m = (m + m.T) / 2
-            assert np.max(np.abs(eig_sym(m) - _eig3_charpoly(m))) <= 1e-10
+            assert np.max(np.abs(eig_no_floor(m) - _eig3_charpoly(m))) <= 1e-10
 
     def test_charpoly_oracle_xi(self):
         # Xi of a random two-qubit state is symmetric 3x3 PSD.
@@ -182,27 +183,23 @@ class TestEigSym:
 
         rho = random_density(4, 23)
         xi = xi_matrix(bloch_of_subsystem(rho, 2, 2, "a"), corrmat_opt(rho, 2, 2), 2)
-        assert np.max(np.abs(eig_sym(xi) - _eig3_charpoly(xi))) <= 1e-10
+        assert np.max(np.abs(eig_no_floor(xi) - _eig3_charpoly(xi))) <= 1e-10
 
     @pytest.mark.parametrize("n", [2, 5, 9, 15])
     def test_sorted_and_trace_preserving(self, n):
         rng = np.random.default_rng(n)
         m = rng.standard_normal((n, n))
         m = (m + m.T) / 2
-        lam = eig_sym(m)
+        lam = eig_no_floor(m)
         assert np.all(np.diff(lam) <= 0)
         assert abs(lam.sum() - np.trace(m)) <= 1e-12 * max(1.0, abs(np.trace(m)))
 
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
     def test_tiny_matrix_has_no_floor(self):
-        # The noise floor belongs to discord; the public solver rotates at any scale.
+        # With floor 0 the solver rotates at any scale; discord passes eps^2 P as its floor.
         g = np.random.default_rng(4).standard_normal((6, 6))
         m = 1e-40 * (g + g.T)
         want = np.linalg.eigvalsh(m)[::-1]
-        assert np.max(np.abs(eig_sym(m) - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(eig_no_floor(m) - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_convergence_error_exists(self):
         assert issubclass(ConvergenceError, RuntimeError)

@@ -1,4 +1,6 @@
 import importlib
+import re
+from pathlib import Path
 
 import quditcorr
 
@@ -15,3 +17,11 @@ def test_root_reexports_every_module_all():
         for name in mod.__all__:
             assert getattr(quditcorr, name) is getattr(mod, name), name
     assert quditcorr.gellmann is importlib.import_module("quditcorr.gellmann").gellmann
+
+
+def test_readme_entry_point_table_lists_public_names():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("Main entry points:", 1)[1].split("\n\n", 2)[1]
+    names = re.findall(r"`(\w+)`", table)
+    assert names
+    assert sorted(set(names) - set(quditcorr.__all__)) == []

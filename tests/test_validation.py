@@ -39,9 +39,6 @@ REJECTED = {
     # kron: two 2-D matrices
     "kron-ndim": lambda: q.kron(VEC1, EYE4),
     "kron-stack": lambda: q.kron(EYE4, STACK4),
-    # eig_sym: square stacks
-    "eig_sym-ndim": lambda: q.eig_sym(VEC1),
-    "eig_sym-non-square": lambda: q.eig_sym(WIDE),
     # bloch_opt: square stacks of dimension >= 2
     "bloch_opt-ndim": lambda: q.bloch_opt(VEC1),
     "bloch_opt-non-square": lambda: q.bloch_opt(np.zeros((2, 3, 4))),
@@ -115,7 +112,6 @@ ACCEPTED = {
     "trace-one-by-one": lambda: q.trace(np.ones((1, 1))),
     "check_density-one-by-one": lambda: q.check_density(np.ones((1, 1))),
     "kron-rectangular": lambda: q.kron(np.zeros((2, 3)), np.zeros((1, 4))),
-    "eig_sym-stack": lambda: q.eig_sym(np.zeros((2, 2, 2))),
     "bloch_opt-stack": lambda: q.bloch_opt(STACK4),
     "purity-one-by-one": lambda: q.purity(np.ones((1, 1))),
     "purity-stack": lambda: q.purity(STACK4),
