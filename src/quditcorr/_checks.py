@@ -25,14 +25,6 @@ def dims(*ds: int, floor: int = 2) -> None:
         raise _below_floor(ds, floor)
 
 
-def matrix(a) -> np.ndarray:
-    """A 2-D array."""
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    return a
-
-
 def square(a, stack: bool = True, floor: int = 0) -> np.ndarray:
     """A stack (..., n, n) of square matrices with n >= floor; one matrix if not stack."""
     a = np.asarray(a)

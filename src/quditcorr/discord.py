@@ -129,6 +129,7 @@ discord_hsa = discord_hs
 
 def werner_analytic(d: int, w: float) -> float:
     """Closed-form ameliorated discord of the Werner state: (dw-1)^2/((d-1)(d+1)^2)."""
+    _checks.dims(d)
     return (d * w - 1) ** 2 / ((d - 1) * (d + 1) ** 2)
 
 

@@ -1,30 +1,21 @@
-"""Dense complex linear algebra for bipartite density matrices.
+"""Partial traces of bipartite density matrices, and the eigensolver of ``discord_hs``.
 
-Matrices are plain 2-D numpy arrays (complex128, row-major). Math indices
-in docstrings are 1-based, kets |k> run k = 1..d; storage is 0-based as
-usual. A bipartite basis ket |np> sits at flat index (n-1)*db + (p-1).
-The partial traces also take stacks of shape (..., n, n) and act on each
-matrix of the stack. ``_eig_sym`` is private to ``discord_hs``; for any other
-symmetric matrix ``numpy.linalg.eigvalsh(m)[..., ::-1]`` gives its eigenvalues.
+Matrices are plain numpy arrays (complex128, row-major). Math indices in
+docstrings are 1-based, kets |k> run k = 1..d; storage is 0-based as usual.
+A bipartite basis ket |np> sits at flat index (n-1)*db + (p-1). The partial
+traces also take stacks of shape (..., n, n) and act on each matrix of the
+stack. ``_eig_sym`` is private to ``discord_hs``; for any other symmetric
+matrix ``numpy.linalg.eigvalsh(m)[..., ::-1]`` gives its eigenvalues, and
+``numpy.kron`` and ``numpy.trace`` give Kronecker products and traces.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _checks
 
-__all__ = [
-    "ConvergenceError",
-    "DensityMatrixCheck",
-    "kron",
-    "trace",
-    "ptrace_a",
-    "ptrace_b",
-    "check_density",
-]
+__all__ = ["ConvergenceError", "ptrace_a", "ptrace_b"]
 
 #: Off-diagonal convergence threshold of the Jacobi sweep, relative to the
 #: Frobenius norm of the input.
@@ -34,25 +25,6 @@ JACOBI_MAX_SWEEPS = 100
 
 class ConvergenceError(RuntimeError):
     """Raised when an iterative eigensolve exhausts its sweep budget."""
-
-
-@dataclass(frozen=True)
-class DensityMatrixCheck:
-    """Validity report for a candidate density matrix (no thresholds applied)."""
-
-    hermiticity_defect: float
-    trace_defect: float
-    min_eigenvalue: float
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; block (r,s) of the result is a[r,s]*b."""
-    return np.kron(_checks.matrix(a), _checks.matrix(b))
-
-
-def trace(a) -> complex:
-    """Sum of diagonal entries. Raises ValueError on non-square input."""
-    return complex(np.trace(_checks.square(a, stack=False)))
 
 
 def ptrace_b(rho, da: int, db: int) -> np.ndarray:
@@ -65,20 +37,6 @@ def ptrace_a(rho, da: int, db: int) -> np.ndarray:
     """Trace out subsystem a: rho_b[p,q] = sum_m rho[(m-1)db+p, (m-1)db+q]."""
     rho = _checks.bipartite(rho, da, db, floor=1)
     return np.einsum("...jijk->...ik", rho.reshape(*rho.shape[:-2], da, db, da, db))
-
-
-def check_density(rho) -> DensityMatrixCheck:
-    """Report hermiticity defect, trace defect, and the smallest eigenvalue.
-
-    The minimum eigenvalue is taken from the Hermitized input (rho+rho†)/2.
-    Reporting only; callers decide what defects they tolerate.
-    """
-    rho = _checks.square(rho, stack=False)
-    herm_defect = float(np.max(np.abs(rho - rho.conj().T)))
-    trace_defect = float(abs(np.trace(rho) - 1.0))
-    herm = (rho + rho.conj().T) / 2.0
-    min_eig = float(np.linalg.eigvalsh(herm)[0])
-    return DensityMatrixCheck(herm_defect, trace_defect, min_eig)
 
 
 def _norms(x) -> np.ndarray:

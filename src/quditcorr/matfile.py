@@ -94,11 +94,19 @@ def parse_matrix_file(path) -> tuple[np.ndarray, int, int]:
 
 
 def write_matrix_file(path, rho, da: int, db: int = 0) -> None:
-    """Write a matrix in the format parse_matrix_file reads back."""
+    """Write a matrix in the format parse_matrix_file reads back.
+
+    Raises ValueError before opening the file on what the parser rejects:
+    da < 1, db < 0 or a non-finite entry.
+    """
+    if da < 1 or db < 0:
+        raise ValueError(f"bad dimensions da={da} db={db}")
     rho = np.asarray(rho, dtype=complex)
     n = da * max(db, 1)
     if rho.shape != (n, n):
         raise ValueError(f"matrix shape {rho.shape} does not match dims ({da}, {db})")
+    if not np.isfinite(rho).all():
+        raise ValueError("matrix has a non-finite entry")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{da} {db}\n")
         for v in rho.ravel():

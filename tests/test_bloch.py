@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from quditcorr import (
@@ -12,7 +14,8 @@ from quditcorr import (
     corrmat_opt,
     corrmat_read_count,
     gellmann_basis,
-    kron,
+    ptrace_a,
+    ptrace_b,
     random_density,
     reconstruct,
     werner_state,
@@ -111,7 +114,7 @@ class TestSubsystemBloch:
     def test_product_state(self):
         ra = random_density(2, 4)
         rb = random_density(3, 5)
-        got = bloch_of_subsystem(kron(ra, rb), 2, 3, "a")
+        got = bloch_of_subsystem(np.kron(ra, rb), 2, 3, "a")
         assert_allclose(got, bloch_opt(ra), atol=1e-15)
 
     def test_bell_marginals_vanish(self):
@@ -135,14 +138,14 @@ class TestCorrMatrix:
     def test_product_state_is_outer_product(self):
         ra = random_density(2, 8)
         rb = random_density(3, 9)
-        c = corrmat_naive(kron(ra, rb), 2, 3)
+        c = corrmat_naive(np.kron(ra, rb), 2, 3)
         expect = np.outer(bloch_opt(ra), bloch_opt(rb))
         assert np.max(np.abs(c - expect)) <= 1e-13
 
     def test_product_state_opt_path(self):
         ra = random_density(3, 10)
         rb = random_density(2, 11)
-        c = corrmat_opt(kron(ra, rb), 3, 2)
+        c = corrmat_opt(np.kron(ra, rb), 3, 2)
         expect = np.outer(bloch_opt(ra), bloch_opt(rb))
         assert np.max(np.abs(c - expect)) <= 1e-13
 
@@ -278,3 +281,41 @@ class TestReconstruct:
     def test_rejects_mismatched_corrmat(self):
         with pytest.raises(ValueError):
             reconstruct(np.zeros(3), np.zeros(3), np.zeros((3, 8)))
+
+
+class TestDecompositionProperties:
+    # da in 2..5 and db in 2..7, in either order.
+    @seed(20161108)
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(
+        da=st.integers(2, 5),
+        db=st.integers(2, 7),
+        swap=st.booleans(),
+        state_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_naive_matches_opt(self, da, db, swap, state_seed):
+        if swap:
+            da, db = db, da
+        rho = random_density(da * db, state_seed)
+        c = corrmat_naive(rho, da, db)
+        assert np.max(np.abs(c - corrmat_opt(rho, da, db))) <= 1e-12
+        for side, marginal in (("a", ptrace_b(rho, da, db)), ("b", ptrace_a(rho, da, db))):
+            diff = bloch_naive(marginal) - bloch_of_subsystem(rho, da, db, side)
+            assert np.max(np.abs(diff)) <= 1e-12
+
+    @seed(20161109)
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(
+        da=st.integers(2, 5),
+        db=st.integers(2, 7),
+        swap=st.booleans(),
+        state_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reconstruct_round_trip(self, da, db, swap, state_seed):
+        if swap:
+            da, db = db, da
+        rho = random_density(da * db, state_seed)
+        a = bloch_of_subsystem(rho, da, db, "a")
+        b = bloch_of_subsystem(rho, da, db, "b")
+        c = corrmat_opt(rho, da, db)
+        assert np.max(np.abs(reconstruct(a, b, c) - rho)) <= 1e-12

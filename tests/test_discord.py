@@ -10,7 +10,6 @@ from quditcorr import (
     corrmat_opt,
     discord_hs,
     discord_hsa,
-    kron,
     ptrace_a,
     ptrace_b,
     purity,
@@ -173,7 +172,7 @@ class TestDiscordHsa:
         state_seed=st.integers(0, 2**32 - 1),
     )
     def test_product_state_vanishes(self, da, db, side, state_seed):
-        rho = kron(random_density(da, state_seed), random_density(db, state_seed + 1))
+        rho = np.kron(random_density(da, state_seed), random_density(db, state_seed + 1))
         rep = discord_hsa(rho, da, db, side)
         assert rep.hs_value <= 1e-14
         assert rep.hsa_value <= 1e-12
@@ -284,6 +283,46 @@ class TestClosedForms:
         rho, schmidt = random_pure_state(da, db, 800 + da * db)
         hs = discord_hs(rho, da, db, "a").hs_value
         assert 0.0 < hs <= 1.0 - np.sum(schmidt**2) + 1e-12
+
+
+def _swap_sides(rho, da, db):
+    """The state on db x da whose factors are those of rho on da x db, in reverse order."""
+    n = da * db
+    return rho.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(n, n)
+
+
+class TestDiscordProperties:
+    @seed(20100315)
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(
+        da=st.integers(2, 6),
+        db=st.integers(2, 6),
+        side=st.sampled_from("ab"),
+        state_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_classical_quantum_states_vanish_on_either_side(self, da, db, side, state_seed):
+        # Classical on the measured side; for side b, a db x da CQ state with its factors swapped.
+        if side == "a":
+            rho = random_cq_state(da, db, state_seed)
+        else:
+            rho = _swap_sides(random_cq_state(db, da, state_seed), db, da)
+        assert discord_hs(rho, da, db, side).hs_value <= 1e-14
+
+    @seed(20120213)
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(
+        da=st.integers(2, 5),
+        db=st.integers(2, 5),
+        side=st.sampled_from("ab"),
+        state_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_hsa_is_hs_over_purity_of_the_other_side(self, da, db, side, state_seed):
+        rho = random_density(da * db, state_seed)
+        r4 = rho.reshape(da, db, da, db)
+        other = np.trace(r4, axis1=0, axis2=2) if side == "a" else np.trace(r4, axis1=1, axis2=3)
+        pur = np.trace(other @ other).real
+        rep = discord_hsa(rho, da, db, side)
+        assert abs(rep.hsa_value - rep.hs_value / pur) <= 1e-13 * rep.hsa_value
 
 
 def _haar(d, rng):

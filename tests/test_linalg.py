@@ -4,13 +4,10 @@ from numpy.testing import assert_allclose
 
 from quditcorr import (
     bell_state,
-    check_density,
     gellmann,
-    kron,
     ptrace_a,
     ptrace_b,
     random_density,
-    trace,
     werner_state,
 )
 from quditcorr.linalg import ConvergenceError
@@ -48,61 +45,30 @@ def _eig3_charpoly(m):
 
 
 class TestKron:
-    def test_identity(self):
-        assert_allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diagonal_factor(self):
-        out = kron(np.diag([1.0, -1.0]), np.eye(2))
-        assert_allclose(out, np.diag([1.0, 1.0, -1.0, -1.0]))
-
     def test_bell_trace_oracle(self):
         # Hand-built sigma_x x sigma_x against the Bell projector gives 1.
         sxsx = np.array(
             [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=complex
         )
         g = gellmann(2, 2, 1, 2)
-        assert_allclose(kron(g, g), sxsx, atol=0)
-        val = np.trace(kron(g, g) @ bell_state(2))
+        assert_allclose(np.kron(g, g), sxsx, atol=0)
+        val = np.trace(np.kron(g, g) @ bell_state(2))
         assert_allclose(val, 1.0, atol=1e-15)
-
-    def test_associativity(self):
-        rng = np.random.default_rng(42)
-        for _ in range(5):
-            a, b, c = (
-                rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                for _ in range(3)
-            )
-            assert np.max(np.abs(kron(kron(a, b), c) - kron(a, kron(b, c)))) <= 1e-13
-
-    def test_trace_factorizes(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        lhs = trace(kron(a, b))
-        rhs = trace(a) * trace(b)
-        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
 class TestTrace:
-    def test_identity(self):
-        assert trace(np.eye(3)) == 3.0
-
     def test_generator_traceless(self):
-        assert abs(trace(gellmann(2, 1, 1))) == 0.0
+        assert abs(np.trace(gellmann(2, 1, 1))) == 0.0
 
     def test_werner_normalized(self):
-        assert abs(trace(werner_state(2, 0.5)) - 1.0) <= 1e-15
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            trace(np.zeros((2, 3)))
+        assert abs(np.trace(werner_state(2, 0.5)) - 1.0) <= 1e-15
 
 
 class TestPartialTrace:
     def test_product_state_recovery(self):
         ra = random_density(3, 1)
         rb = random_density(2, 2)
-        rho = kron(ra, rb)
+        rho = np.kron(ra, rb)
         assert np.max(np.abs(ptrace_b(rho, 3, 2) - ra)) <= 1e-14
         assert np.max(np.abs(ptrace_a(rho, 3, 2) - rb)) <= 1e-14
 
@@ -141,26 +107,6 @@ class TestPartialTrace:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             ptrace_b(np.eye(5), 2, 2)
-
-
-class TestCheckDensity:
-    def test_maximally_mixed(self):
-        rep = check_density(np.eye(4) / 4)
-        assert rep.hermiticity_defect == 0.0
-        assert rep.trace_defect == 0.0
-        assert_allclose(rep.min_eigenvalue, 0.25, atol=1e-15)
-
-    def test_werner_extreme(self):
-        rep = check_density(werner_state(2, 1.0))
-        assert rep.hermiticity_defect <= 1e-15
-        assert rep.trace_defect <= 1e-15
-        assert rep.min_eigenvalue >= -1e-15
-
-    def test_reports_hermiticity_defect(self):
-        eps = 1e-6
-        rho = np.eye(2, dtype=complex) / 2
-        rho[0, 1] += eps
-        assert_allclose(check_density(rho).hermiticity_defect, eps, rtol=1e-9)
 
 
 class TestEigSym:

@@ -128,6 +128,22 @@ def test_write_rejects_shape_mismatch(tmp_path):
         write_matrix_file(tmp_path / "bad.mat", np.eye(4), 2, 3)
 
 
+@pytest.mark.parametrize(
+    "rho,da,db,message",
+    [
+        (np.zeros((0, 0)), 0, 0, "bad dimensions da=0 db=0"),
+        (np.eye(2), 2, -1, "bad dimensions da=2 db=-1"),
+        (np.array([[0.5, np.nan], [complex(0, np.inf), 0.5]]), 2, 0, "non-finite entry"),
+    ],
+    ids=["da-below-one", "db-negative", "non-finite"],
+)
+def test_write_refuses_what_parse_rejects(tmp_path, rho, da, db, message):
+    path = tmp_path / "bad.mat"
+    with pytest.raises(ValueError, match=message):
+        write_matrix_file(path, rho, da, db)
+    assert not path.exists()
+
+
 _FILLER_LINES = ["", "   ", "# comment", "\t# indented comment"]
 
 

@@ -1,11 +1,11 @@
 """Input rules of every public entry point: one bad input per rule, each a ValueError.
 
-The rules are a 2-D matrix, a square matrix or a stack (..., n, n) of them,
-a single matrix on the naive paths, n = da*db for a bipartite state, a
-dimension floor (1 for the partial traces, 2 wherever generators are
-involved), a Bloch length d^2 - 1 and a correlation matrix that matches its
-Bloch vector and the opposite dimension. The second table pins inputs at the edge of each domain that
-are accepted.
+The rules are a square matrix or a stack (..., n, n) of them, a single
+matrix on the naive paths, n = da*db for a bipartite state, a dimension
+floor (1 for the partial traces, 2 wherever generators are involved), a
+Bloch length d^2 - 1 and a correlation matrix that matches its Bloch vector
+and the opposite dimension. The second table pins inputs at the edge of
+each domain that are accepted.
 """
 
 import numpy as np
@@ -29,16 +29,6 @@ REJECTED = {
     "ptrace_a-non-square": lambda: q.ptrace_a(WIDE, 2, 2),
     "ptrace_a-n-mismatch": lambda: q.ptrace_a(EYE4, 3, 2),
     "ptrace_a-below-floor": lambda: q.ptrace_a(EYE4, -2, -2),
-    # check_density / trace: one square matrix
-    "check_density-ndim": lambda: q.check_density(VEC1),
-    "check_density-non-square": lambda: q.check_density(WIDE),
-    "check_density-stack": lambda: q.check_density(STACK4),
-    "trace-ndim": lambda: q.trace(VEC1),
-    "trace-non-square": lambda: q.trace(WIDE),
-    "trace-stack": lambda: q.trace(STACK4),
-    # kron: two 2-D matrices
-    "kron-ndim": lambda: q.kron(VEC1, EYE4),
-    "kron-stack": lambda: q.kron(EYE4, STACK4),
     # bloch_opt: square stacks of dimension >= 2
     "bloch_opt-ndim": lambda: q.bloch_opt(VEC1),
     "bloch_opt-non-square": lambda: q.bloch_opt(np.zeros((2, 3, 4))),
@@ -91,6 +81,9 @@ REJECTED = {
     "discord_hs-below-floor": lambda: q.discord_hs(np.eye(2), 1, 2, "b"),
     "discord_hs-side": lambda: q.discord_hs(EYE4, 2, 2, "c"),
     "discord_hsa-n-mismatch": lambda: q.discord_hsa(EYE4, 2, 3),
+    # werner_analytic: dimension >= 2
+    "werner_analytic-below-floor-one": lambda: q.werner_analytic(1, 0.5),
+    "werner_analytic-below-floor-zero": lambda: q.werner_analytic(0, 0.5),
     # state constructors: dimensions >= 2
     "swap_operator-below-floor": lambda: q.swap_operator(1),
     "werner_state-below-floor": lambda: q.werner_state(1, 0.5),
@@ -109,9 +102,6 @@ ACCEPTED = {
     "ptrace_b-dim-one": lambda: q.ptrace_b(np.eye(3) / 3, 1, 3),
     "ptrace_a-dim-one": lambda: q.ptrace_a(np.eye(3) / 3, 3, 1),
     "ptrace_b-empty-stack": lambda: q.ptrace_b(np.zeros((0, 4, 4)), 2, 2),
-    "trace-one-by-one": lambda: q.trace(np.ones((1, 1))),
-    "check_density-one-by-one": lambda: q.check_density(np.ones((1, 1))),
-    "kron-rectangular": lambda: q.kron(np.zeros((2, 3)), np.zeros((1, 4))),
     "bloch_opt-stack": lambda: q.bloch_opt(STACK4),
     "purity-one-by-one": lambda: q.purity(np.ones((1, 1))),
     "purity-stack": lambda: q.purity(STACK4),
