@@ -20,7 +20,10 @@ def _below_floor(ds: tuple, floor: int) -> ValueError:
 
 
 def dims(*ds: int, floor: int = 2) -> None:
-    """Every dimension in ds is at least floor."""
+    """Every dimension in ds is an int or a numpy integer (not a bool) of at least floor."""
+    for d in ds:
+        if type(d) is not int and not isinstance(d, np.integer):
+            raise ValueError(f"dimension must be an integer, got {d!r}")
     if min(ds) < floor:
         raise _below_floor(ds, floor)
 

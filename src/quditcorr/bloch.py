@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _checks
-from .gellmann import gellmann_basis
+from .gellmann import _diag_weights, _pairs, gellmann_basis
 
 __all__ = [
     "ReadCounter",
@@ -56,27 +56,6 @@ class ReadCounter:
         self.count += int(n)
 
 
-@lru_cache(maxsize=None)
-def _pairs(d: int):
-    """Index pairs (k,l), k<l, 0-based, in lexicographic order."""
-    kk, ll = np.triu_indices(d, 1)
-    kk.setflags(write=False)
-    ll.setflags(write=False)
-    return kk, ll
-
-
-@lru_cache(maxsize=None)
-def _diag_weights(d: int) -> np.ndarray:
-    """Row j-1 holds the diagonal-generator weights sqrt(2/(j(j+1)))*(1,..,1,-j,0,..)."""
-    w = np.zeros((d - 1, d))
-    for j in range(1, d):
-        scale = np.sqrt(2.0 / (j * (j + 1)))
-        w[j - 1, :j] = scale
-        w[j - 1, j] = -j * scale
-    w.setflags(write=False)
-    return w
-
-
 def _reject_imag_residue(worst: float) -> None:
     if worst > IMAG_TOL:
         raise ValueError(
@@ -90,19 +69,19 @@ def _floats(rho, n: int) -> np.ndarray:
     return rho.reshape(*rho.shape[:-2], n * n).view(float)
 
 
+def _traces(ops, rho, scale: float) -> np.ndarray:
+    """scale * Re Tr(op rho) for every op in turn, each trace summed by definition."""
+    rho_t = rho.T
+    t = np.array([(op * rho_t).sum() for op in ops])
+    _reject_imag_residue(np.maximum.reduce(np.abs(t.imag)))
+    return scale * t.real
+
+
 def bloch_naive(rho_s) -> np.ndarray:
     """Bloch vector via materialized generators: s_j = (d/2) Re Tr(G_j rho)."""
     rho_s = _checks.square(rho_s, stack=False, floor=2)
     d = rho_s.shape[0]
-    rho_t = rho_s.T
-    comps = np.empty(d * d - 1)
-    worst = 0.0
-    for j, g in enumerate(gellmann_basis(d)):
-        t = (g * rho_t).sum()
-        worst = max(worst, abs(t.imag))
-        comps[j] = 0.5 * d * t.real
-    _reject_imag_residue(worst)
-    return comps
+    return _traces(gellmann_basis(d), rho_s, 0.5 * d)
 
 
 @lru_cache(maxsize=None)
@@ -167,19 +146,9 @@ def bloch_of_subsystem(rho, da: int, db: int, side: str = "a") -> np.ndarray:
 def corrmat_naive(rho, da: int, db: int) -> np.ndarray:
     """Correlation matrix by definition: one Kronecker product per entry."""
     rho = _checks.bipartite(rho, da, db, stack=False)
-    ga = gellmann_basis(da)
     gb = gellmann_basis(db)
-    rho_t = rho.T
-    sig = da * db / 4.0
-    c = np.empty((da * da - 1, db * db - 1))
-    worst = 0.0
-    for j, gj in enumerate(ga):
-        for k, gk in enumerate(gb):
-            t = (np.kron(gj, gk) * rho_t).sum()
-            worst = max(worst, abs(t.imag))
-            c[j, k] = sig * t.real
-    _reject_imag_residue(worst)
-    return c
+    ops = (np.kron(gj, gk) for gj in gellmann_basis(da) for gk in gb)
+    return _traces(ops, rho, da * db / 4.0).reshape(da * da - 1, db * db - 1)
 
 
 @lru_cache(maxsize=None)

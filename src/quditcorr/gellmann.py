@@ -12,10 +12,14 @@ j = 1..d^2-1 enumerates the diagonal group first, then the symmetric group,
 then the antisymmetric group, with (k,l) pairs in lexicographic order
 (1,2), (1,3), ..., (1,d), (2,3), ... within each group. Every Bloch vector
 and correlation matrix in this package is ordered by this map.
+
+``_pairs`` and ``_diag_weights`` own that order and the diagonal weights;
+the generators, ``gm_unindex`` and the gather plans in :mod:`quditcorr.bloch` read them.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +40,27 @@ class GellMannSpec(NamedTuple):
     l: int = 0
 
 
+@lru_cache(maxsize=None)
+def _pairs(d: int):
+    """Index pairs (k,l), k<l, 0-based, in lexicographic order."""
+    kk, ll = np.triu_indices(d, 1)
+    kk.setflags(write=False)
+    ll.setflags(write=False)
+    return kk, ll
+
+
+@lru_cache(maxsize=None)
+def _diag_weights(d: int) -> np.ndarray:
+    """Row j-1 holds the diagonal-generator weights sqrt(2/(j(j+1)))*(1,..,1,-j,0,..)."""
+    w = np.zeros((d - 1, d))
+    for j in range(1, d):
+        scale = np.sqrt(2.0 / (j * (j + 1)))
+        w[j - 1, :j] = scale
+        w[j - 1, j] = -j * scale
+    w.setflags(write=False)
+    return w
+
+
 def _validate(dim: int, group: int, k: int, l: int) -> None:
     _checks.dims(dim)
     if group == DIAGONAL:
@@ -53,10 +78,7 @@ def gellmann(dim: int, group: int, k: int, l: int = 0) -> np.ndarray:
     _validate(dim, group, k, l)
     g = np.zeros((dim, dim), dtype=complex)
     if group == DIAGONAL:
-        scale = np.sqrt(2.0 / (k * (k + 1)))
-        for m in range(k):
-            g[m, m] = scale
-        g[k, k] = -k * scale
+        g.ravel()[:: dim + 1] = _diag_weights(dim)[k - 1]
     elif group == SYMMETRIC:
         g[k - 1, l - 1] = 1.0
         g[l - 1, k - 1] = 1.0
@@ -86,18 +108,12 @@ def gm_unindex(dim: int, j: int) -> GellMannSpec:
     _checks.dims(dim)
     if not 1 <= j <= dim * dim - 1:
         raise ValueError(f"flat index {j} out of range 1..{dim * dim - 1}")
-    n_diag = dim - 1
-    n_pair = dim * (dim - 1) // 2
-    if j <= n_diag:
+    if j < dim:
         return GellMannSpec(dim, DIAGONAL, j)
-    j -= n_diag
-    group = SYMMETRIC if j <= n_pair else ANTISYMMETRIC
-    rank = j if j <= n_pair else j - n_pair
-    k = 1
-    while rank > dim - k:
-        rank -= dim - k
-        k += 1
-    return GellMannSpec(dim, group, k, k + rank)
+    # After the dim-1 diagonal slots, each pair group lists every pair once.
+    offset, rank = divmod(j - dim, dim * (dim - 1) // 2)
+    kk, ll = _pairs(dim)
+    return GellMannSpec(dim, SYMMETRIC + offset, kk.item(rank) + 1, ll.item(rank) + 1)
 
 
 def gellmann_basis(dim: int) -> list[np.ndarray]:

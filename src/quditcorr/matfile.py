@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from . import _checks
+
 __all__ = ["MatrixFileError", "parse_matrix_file", "write_matrix_file"]
 
 
@@ -97,10 +99,11 @@ def write_matrix_file(path, rho, da: int, db: int = 0) -> None:
     """Write a matrix in the format parse_matrix_file reads back.
 
     Raises ValueError before opening the file on what the parser rejects:
-    da < 1, db < 0 or a non-finite entry.
+    da < 1, db < 0, a non-integer dimension or a non-finite entry.
     """
     if da < 1 or db < 0:
         raise ValueError(f"bad dimensions da={da} db={db}")
+    _checks.dims(da, db, floor=0)
     rho = np.asarray(rho, dtype=complex)
     n = da * max(db, 1)
     if rho.shape != (n, n):

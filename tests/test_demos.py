@@ -17,12 +17,13 @@ def test_demos_found():
 
 
 def _run(*args):
+    # -W error: a warning fails a demo as pyproject's filterwarnings fails a test.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, *args],
+        [sys.executable, "-W", "error", *args],
         cwd=ROOT,
         env=env,
         capture_output=True,

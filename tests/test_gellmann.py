@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 
 from quditcorr import GellMannSpec, gellmann, gellmann_basis, gm_index, gm_unindex
 
-DIMS = range(2, 9)
+# Up to 12, the largest dimension the decompose benchmark gathers.
+DIMS = range(2, 13)
 
 
 class TestGenerators:

@@ -123,6 +123,13 @@ def test_write_parse_round_trip(tmp_path):
     assert np.array_equal(back, rho)
 
 
+def test_write_accepts_numpy_integer_dims(tmp_path):
+    path = tmp_path / "np.mat"
+    write_matrix_file(path, np.eye(6) / 6, np.int64(2), np.int32(3))
+    assert path.read_text().splitlines()[0] == "2 3"
+    assert parse_matrix_file(path)[1:] == (2, 3)
+
+
 def test_write_rejects_shape_mismatch(tmp_path):
     with pytest.raises(ValueError):
         write_matrix_file(tmp_path / "bad.mat", np.eye(4), 2, 3)
@@ -134,8 +141,12 @@ def test_write_rejects_shape_mismatch(tmp_path):
         (np.zeros((0, 0)), 0, 0, "bad dimensions da=0 db=0"),
         (np.eye(2), 2, -1, "bad dimensions da=2 db=-1"),
         (np.array([[0.5, np.nan], [complex(0, np.inf), 0.5]]), 2, 0, "non-finite entry"),
+        (np.eye(6) / 6, 2.0, 3, "dimension must be an integer, got 2.0"),
+        (np.eye(6) / 6, 2, 3.0, "dimension must be an integer, got 3.0"),
+        (np.eye(6) / 6, True, 6, "dimension must be an integer, got True"),
+        (np.eye(2) / 2, 2, False, "dimension must be an integer, got False"),
     ],
-    ids=["da-below-one", "db-negative", "non-finite"],
+    ids=["da-below-one", "db-negative", "non-finite", "da-float", "db-float", "da-bool", "db-bool"],
 )
 def test_write_refuses_what_parse_rejects(tmp_path, rho, da, db, message):
     path = tmp_path / "bad.mat"

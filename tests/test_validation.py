@@ -1,11 +1,11 @@
 """Input rules of every public entry point: one bad input per rule, each a ValueError.
 
 The rules are a square matrix or a stack (..., n, n) of them, a single
-matrix on the naive paths, n = da*db for a bipartite state, a dimension
-floor (1 for the partial traces, 2 wherever generators are involved), a
-Bloch length d^2 - 1 and a correlation matrix that matches its Bloch vector
-and the opposite dimension. The second table pins inputs at the edge of
-each domain that are accepted.
+matrix on the naive paths, n = da*db for a bipartite state, integer
+dimensions, a dimension floor (1 for the partial traces, 2 wherever
+generators are involved), a Bloch length d^2 - 1 and a correlation matrix
+that matches its Bloch vector and the opposite dimension. The second table
+pins inputs at the edge of each domain that are accepted.
 """
 
 import numpy as np
@@ -96,6 +96,12 @@ REJECTED = {
     "gm_index-below-floor": lambda: q.gm_index(1, 1, 1),
     "gm_unindex-below-floor": lambda: q.gm_unindex(1, 1),
     "gellmann_basis-below-floor": lambda: q.gellmann_basis(1),
+    # dimensions are integers: floats fail even when integral
+    "werner_analytic-float": lambda: q.werner_analytic(2.5, 0.3),
+    "werner_analytic-integral-float": lambda: q.werner_analytic(3.0, 0.3),
+    "xi_matrix-integral-float": lambda: q.xi_matrix(np.zeros(3), np.zeros((3, 8)), 3.0),
+    "gellmann-integral-float": lambda: q.gellmann(2.0, 1, 1),
+    "swap_operator-numpy-float": lambda: q.swap_operator(np.float64(3.0)),
 }
 
 ACCEPTED = {
@@ -108,6 +114,8 @@ ACCEPTED = {
     "xi_matrix-stack": lambda: q.xi_matrix(np.zeros((2, 3)), np.zeros((2, 3, 8)), 3),
     "reconstruct-nested-vectors": lambda: q.reconstruct([[0.0] * 3], np.zeros(3), np.zeros((3, 3))),
     "werner_state-stack": lambda: q.werner_state(2, np.zeros(3)),
+    "werner_analytic-numpy-integer": lambda: q.werner_analytic(np.int64(3), 0.5),
+    "xi_matrix-numpy-integer": lambda: q.xi_matrix(np.zeros(3), np.zeros((3, 8)), np.int32(3)),
 }
 
 
