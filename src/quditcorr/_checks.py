@@ -5,8 +5,7 @@ its argument, arrays through ``np.asarray``. Dimension floors depend on the
 use: a partial trace takes any dimension >= 1, while everything built on
 Gell-Mann generators needs >= 2, the default. The checks run on every call
 of the small-state kernels, so their passing paths make few Python calls:
-``square`` and ``bipartite`` test their floors inline rather than through
-``dims``.
+``square`` tests its floor inline rather than through ``dims``.
 """
 
 from __future__ import annotations
@@ -42,9 +41,8 @@ def square(a, stack: bool = True, floor: int = 0) -> np.ndarray:
 
 
 def bipartite(rho, da: int, db: int, floor: int = 2, stack: bool = True) -> np.ndarray:
-    """A square stack (one matrix if not stack) of size da*db, with da, db >= floor."""
-    if da < floor or db < floor:
-        raise _below_floor((da, db), floor)
+    """A square stack (one matrix if not stack) of size da*db, with integer da, db >= floor."""
+    dims(da, db, floor=floor)
     rho = square(rho, stack)
     if rho.shape[-1] != da * db:
         raise ValueError(

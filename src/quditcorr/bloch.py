@@ -136,7 +136,13 @@ def bloch_opt(rho_s) -> np.ndarray:
 
 
 def bloch_of_subsystem(rho, da: int, db: int, side: str = "a") -> np.ndarray:
-    """Bloch vector of one marginal, gathered from rho with no partial trace or Hermiticity test."""
+    """Bloch vector of one marginal, gathered from rho with no partial trace or Hermiticity test.
+
+    It reads rho's strict lower triangle and the real part of its diagonal
+    only. On a non-Hermitian rho it returns the Bloch vector of the
+    Hermitian matrix built from those entries and the lower triangle's
+    conjugate transpose, not that of (rho + rho^dagger)/2.
+    """
     rho = _checks.bipartite(rho, da, db)
     if side not in ("a", "b"):
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
@@ -204,8 +210,11 @@ def corrmat_opt(rho, da: int, db: int, reads: ReadCounter | None = None) -> np.n
     and <np|rho|mp>, and the two-sided off-diagonals <nq|rho|mp> and
     <np|rho|mq> (m < n on side a, p < q on side b) for all nine group
     blocks; Hermiticity of rho makes any other element redundant. It reads
-    that one triangle only and does not test Hermiticity. Pass a
-    ReadCounter to tally the elements touched, summed over a stack.
+    that strict lower triangle and the real part of the diagonal only, and
+    does not test Hermiticity: on a non-Hermitian rho it returns the
+    correlation matrix of the Hermitian matrix built from those entries and
+    the lower triangle's conjugate transpose. Pass a ReadCounter to tally
+    the elements touched, summed over a stack.
     """
     rho = _checks.bipartite(rho, da, db)
     lead = rho.shape[:-2]
@@ -253,11 +262,9 @@ def reconstruct(a, b, c) -> np.ndarray:
         raise ValueError(
             f"correlation matrix shape {c.shape} does not match vectors ({a.size}, {b.size})"
         )
-    ga = np.stack(gellmann_basis(da))
-    gb = np.stack(gellmann_basis(db))
-    rho = np.eye(da * db, dtype=complex)
-    rho += np.kron(np.tensordot(a, ga, axes=1), np.eye(db))
-    rho += np.kron(np.eye(da), np.tensordot(b, gb, axes=1))
-    for j in range(a.size):
-        rho += np.kron(ga[j], np.tensordot(c[j], gb, axes=1))
-    return rho / (da * db)
+    # sum_jk T_jk A_j x B_k, T = [[1, b^t], [a, C]], as A^t T B over flattened (I, G_1, ...).
+    ops_a = np.stack([np.eye(da), *gellmann_basis(da)]).reshape(da * da, da * da)
+    ops_b = np.stack([np.eye(db), *gellmann_basis(db)]).reshape(db * db, db * db)
+    t = np.block([[1.0, b], [a[:, None], c]])
+    rho = (ops_a.T @ (t @ ops_b)).reshape(da, da, db, db).transpose(0, 2, 1, 3)
+    return rho.reshape(da * db, da * db) / (da * db)

@@ -16,7 +16,10 @@ rotating at off-diagonal mass max(1e-13 ||Xi||_F, eps^2 P(rho_other)); the
 floor is quadratic in rho like Xi, so it scales with the input, and it
 skips a Xi of rounding noise (Werner, d w = 1). The ameliorated quantifier
 divides by the purity of the opposite marginal, D_hsa = D_hs / P(rho_b),
-which repairs the non-contractivity of the Hilbert-Schmidt distance.
+read from its Bloch vector as P(rho_b) = (Tr rho)^2/db + 2 |b|^2/db^2 with
+no partial trace. Appending a local ancilla sigma to the unmeasured side
+(rho x sigma) multiplies D_hs by P(sigma) and leaves D_hsa unchanged
+(Piani, PRA 86, 034101); that invariance is what the rescaling is for.
 Side b mirrors side a with C^t C in place of C C^t. Both values vanish
 exactly on classical-quantum states sum_j p_j |a_j><a_j| x rho_j.
 
@@ -39,7 +42,7 @@ import numpy as np
 
 from . import _checks
 from .bloch import bloch_of_subsystem, corrmat_opt
-from .linalg import _eig_sym, ptrace_a, ptrace_b
+from .linalg import _eig_sym
 from .states import werner_state
 
 __all__ = [
@@ -105,18 +108,20 @@ def discord_hs(rho, da: int, db: int, side: str = "a") -> DiscordReport:
 
     Its two headline fields are hs_value, the plain Hilbert-Schmidt
     discord, and hsa_value, the ameliorated one; ``discord_hsa`` is the
-    same function under the second name.
+    same function under the second name. Like ``corrmat_opt`` it reads
+    rho's lower triangle and the real part of its diagonal only.
     """
     vec = bloch_of_subsystem(rho, da, db, side)
+    c = corrmat_opt(rho, da, db)
     if side == "a":
-        pur = purity(ptrace_a(rho, da, db))
-        xi = xi_matrix(vec, corrmat_opt(rho, da, db), db)
-        d_side = da
+        d_side, d_other, other = da, db, "b"
     else:
-        pur = purity(ptrace_b(rho, da, db))
-        xi = xi_matrix(vec, np.swapaxes(corrmat_opt(rho, da, db), -1, -2), da)
-        d_side = db
-    lam = _eig_sym(xi, np.finfo(float).eps ** 2 * pur)
+        d_side, d_other, other, c = db, da, "a", np.swapaxes(c, -1, -2)
+    s = bloch_of_subsystem(rho, da, db, other)
+    t = np.trace(rho, axis1=-2, axis2=-1).real
+    pur = t * t / d_other + 2.0 * np.vecdot(s, s) / d_other**2
+    pur = float(pur) if pur.ndim == 0 else pur
+    lam = _eig_sym(xi_matrix(vec, c, d_other), np.finfo(float).eps ** 2 * pur)
     # Tail sum over positions d_side..d_side^2-1 (1-based); noise can leave
     # it a hair negative, so clamp.
     tail = lam[..., d_side - 1 :].sum(axis=-1)
@@ -149,6 +154,8 @@ def werner_sweep(
         raise ValueError(f"dmax must be >= dmin, got {dmax} < {dmin}")
     if wsteps < 2:
         raise ValueError(f"wsteps must be >= 2, got {wsteps}")
+    # All three past the floors above, so this applies only the integer rule.
+    _checks.dims(dmin, dmax, wsteps)
     grid = np.linspace(-1.0, 1.0, wsteps)
     rows = []
     for d in range(dmin, dmax + 1):

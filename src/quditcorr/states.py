@@ -25,11 +25,9 @@ __all__ = [
 def swap_operator(d: int) -> np.ndarray:
     """Permutation F = sum_jk |jk><kj| on two d-dimensional systems; F|jk> = |kj>."""
     _checks.dims(d)
-    f = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            f[j * d + k, k * d + j] = 1.0
-    return f
+    f = np.zeros(d**4, dtype=complex)
+    f[np.concatenate(_werner_positions(d)[1:])] = 1.0
+    return f.reshape(d * d, d * d)
 
 
 def werner_state(d: int, w) -> np.ndarray:

@@ -13,9 +13,11 @@ from quditcorr import (
     corrmat_naive,
     corrmat_opt,
     corrmat_read_count,
+    discord_hs,
     gellmann_basis,
     ptrace_a,
     ptrace_b,
+    purity,
     random_density,
     reconstruct,
     werner_state,
@@ -179,6 +181,24 @@ class TestCorrMatrix:
         rho[0, 3] = 1.0
         with pytest.raises(ValueError, match="Hermitian"):
             corrmat_naive(rho, 2, 2)
+
+
+@pytest.mark.parametrize("da,db", [(2, 3), (3, 2), (3, 4)])
+def test_non_hermitian_input_reads_one_triangle(da, db):
+    # The optimized paths read rho's strict lower triangle and Re of its
+    # diagonal: on a non-Hermitian rho they give the naive values of the
+    # Hermitian matrix built from those entries. The upper triangle's
+    # matrix is off by order 10 here, so the test tells the two apart.
+    rng = np.random.default_rng(10 * da + db)
+    n = da * db
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    low = np.tril(x, -1)
+    h = low + low.conj().T + np.diag(x.diagonal().real)
+    assert np.max(np.abs(corrmat_opt(x, da, db) - corrmat_naive(h, da, db))) <= 1e-13
+    for side, marginal in (("a", ptrace_b(h, da, db)), ("b", ptrace_a(h, da, db))):
+        assert np.max(np.abs(bloch_of_subsystem(x, da, db, side) - bloch_naive(marginal))) <= 1e-13
+        other = discord_hs(x, da, db, "b" if side == "a" else "a").purity_other
+        assert abs(other - purity(marginal)) <= 1e-13 * purity(marginal)
 
 
 @pytest.mark.parametrize("da,db", ORACLE_DIMS)

@@ -115,6 +115,20 @@ class TestDiscordCommand:
             values[measure] = float(_lines(capsys)[-1].split()[-1])
         assert abs(values["hsa"] - values["hs"] / values["purity"]) <= 1e-12
 
+    def test_ancilla_scales_hs_and_leaves_hsa(self, random_file, tmp_path, capsys):
+        # An ancilla sigma on the unmeasured side b: hs scales by P(sigma), hsa stays.
+        sigma = random_density(2, 5)
+        path = tmp_path / "ancilla.mat"
+        write_matrix_file(path, np.kron(random_density(6, 99), sigma), 2, 6)
+        values = {}
+        for name, f in [("rho", random_file), ("rho_sigma", str(path))]:
+            for measure in ("hs", "hsa"):
+                assert main(["discord", "--measure", measure, "--subsys", "a", "--input", f]) == 0
+                values[name, measure] = float(_lines(capsys)[-1].split()[-1])
+        p = np.trace(sigma @ sigma).real
+        assert abs(values["rho_sigma", "hs"] - p * values["rho", "hs"]) <= 1e-11 * values["rho", "hs"]
+        assert abs(values["rho_sigma", "hsa"] - values["rho", "hsa"]) <= 1e-11 * values["rho", "hsa"]
+
     def test_rejects_invalid_density(self, tmp_path, capsys):
         path = tmp_path / "bad.mat"
         write_matrix_file(path, np.eye(4, dtype=complex) / 2, 2, 2)  # trace 2

@@ -11,7 +11,6 @@ from quditcorr import (
     discord_hs,
     discord_hsa,
     ptrace_a,
-    ptrace_b,
     purity,
     random_cq_state,
     random_density,
@@ -108,14 +107,18 @@ class TestDiscordHs:
 
     @staticmethod
     def _composed(rho, da, db, side):
-        """The report's fields through the public functions and the solver at discord's floor."""
+        """The report's fields through the public functions and the solver at discord's floor.
+
+        The untouched marginal's purity is (Tr rho)^2/d + 2|s|^2/d^2, s its Bloch vector.
+        """
         c = corrmat_opt(rho, da, db)
         vec = bloch_of_subsystem(rho, da, db, side)
         if side == "a":
-            xi, pur, d_side = xi_matrix(vec, c, db), purity(ptrace_a(rho, da, db)), da
+            xi, d_side, d_other, other = xi_matrix(vec, c, db), da, db, "b"
         else:
-            xi = xi_matrix(vec, np.swapaxes(c, -1, -2), da)
-            pur, d_side = purity(ptrace_b(rho, da, db)), db
+            xi, d_side, d_other, other = xi_matrix(vec, np.swapaxes(c, -1, -2), da), db, da, "a"
+        s, t = bloch_of_subsystem(rho, da, db, other), np.trace(rho, axis1=-2, axis2=-1).real
+        pur = t * t / d_other + 2.0 * np.vecdot(s, s) / d_other**2
         lam = _eig_sym(xi, np.finfo(float).eps ** 2 * pur)
         return lam, np.maximum(0.0, lam[..., d_side - 1 :].sum(axis=-1)), pur
 
@@ -323,6 +326,49 @@ class TestDiscordProperties:
         pur = np.trace(other @ other).real
         rep = discord_hsa(rho, da, db, side)
         assert abs(rep.hsa_value - rep.hs_value / pur) <= 1e-13 * rep.hsa_value
+
+
+class TestLocalAncilla:
+    """An ancilla sigma on the unmeasured side scales hs by P(sigma) and leaves hsa unchanged.
+
+    This is the local-ancilla problem of the plain quantifier (Piani, PRA
+    86, 034101 (2012)) and what the rescaling by P(rho_other) is for.
+    """
+
+    def test_plain_value_changes(self):
+        # A maximally mixed qubit appended to side b halves the Bell pair's hs.
+        before = discord_hs(bell_state(2), 2, 2, "a")
+        after = discord_hs(np.kron(bell_state(2), np.eye(2) / 2), 2, 4, "a")
+        assert abs(before.hs_value - 0.5) <= 1e-15 and abs(after.hs_value - 0.25) <= 1e-15
+        assert abs(before.hsa_value - 1.0) <= 1e-15 and abs(after.hsa_value - 1.0) <= 1e-15
+
+    @seed(20120903)
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(
+        da=st.integers(2, 4),
+        db=st.integers(2, 4),
+        dc=st.integers(2, 3),
+        side=st.sampled_from("ab"),
+        cq=st.booleans(),
+        state_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ancilla_on_the_unmeasured_side(self, da, db, dc, side, cq, state_seed):
+        sigma = random_density(dc, state_seed + 1)
+        if side == "a":
+            rho = random_cq_state(da, db, state_seed) if cq else random_density(da * db, state_seed)
+            before = discord_hs(rho, da, db, "a")
+            after = discord_hs(np.kron(rho, sigma), da, db * dc, "a")
+        else:
+            if cq:
+                rho = _swap_sides(random_cq_state(db, da, state_seed), db, da)
+            else:
+                rho = random_density(da * db, state_seed)
+            before = discord_hs(rho, da, db, "b")
+            after = discord_hs(np.kron(sigma, rho), dc * da, db, "b")
+        # Relative, except on CQ states, whose values are rounding noise around 0.
+        scale_hs, scale_hsa = (1.0, 1.0) if cq else (before.hs_value, before.hsa_value)
+        assert abs(after.hs_value - purity(sigma) * before.hs_value) <= 1e-13 * scale_hs
+        assert abs(after.hsa_value - before.hsa_value) <= 1e-13 * scale_hsa
 
 
 def _haar(d, rng):

@@ -2,7 +2,7 @@
 
 The rules are a square matrix or a stack (..., n, n) of them, a single
 matrix on the naive paths, n = da*db for a bipartite state, integer
-dimensions, a dimension floor (1 for the partial traces, 2 wherever
+dimensions and generator labels, a dimension floor (1 for the partial traces, 2 wherever
 generators are involved), a Bloch length d^2 - 1 and a correlation matrix
 that matches its Bloch vector and the opposite dimension. The second table
 pins inputs at the edge of each domain that are accepted.
@@ -102,6 +102,19 @@ REJECTED = {
     "xi_matrix-integral-float": lambda: q.xi_matrix(np.zeros(3), np.zeros((3, 8)), 3.0),
     "gellmann-integral-float": lambda: q.gellmann(2.0, 1, 1),
     "swap_operator-numpy-float": lambda: q.swap_operator(np.float64(3.0)),
+    "ptrace_a-integral-float": lambda: q.ptrace_a(EYE4, 2.0, 2),
+    "ptrace_b-integral-float": lambda: q.ptrace_b(EYE4, 2, 2.0),
+    "bloch_of_subsystem-integral-float": lambda: q.bloch_of_subsystem(EYE4, 2, 2.0),
+    "corrmat_opt-integral-float": lambda: q.corrmat_opt(EYE4, 2.0, 2),
+    "discord_hs-integral-float": lambda: q.discord_hs(EYE4, 2.0, 2),
+    "werner_sweep-float-dmin": lambda: q.werner_sweep(2.0, 3, 5),
+    "werner_sweep-float-dmax": lambda: q.werner_sweep(2, 3.0, 5),
+    "werner_sweep-float-wsteps": lambda: q.werner_sweep(2, 3, 5.0),
+    # generator labels are integers too
+    "gm_unindex-float-index": lambda: q.gm_unindex(3, 2.0),
+    "gm_index-float-label": lambda: q.gm_index(3, 2, 1.0, 2),
+    "gellmann-float-label": lambda: q.gellmann(3, 2, 1.0, 2),
+    "gellmann-float-group": lambda: q.gellmann(3, 1.0, 1),
 }
 
 ACCEPTED = {
@@ -116,6 +129,8 @@ ACCEPTED = {
     "werner_state-stack": lambda: q.werner_state(2, np.zeros(3)),
     "werner_analytic-numpy-integer": lambda: q.werner_analytic(np.int64(3), 0.5),
     "xi_matrix-numpy-integer": lambda: q.xi_matrix(np.zeros(3), np.zeros((3, 8)), np.int32(3)),
+    "corrmat_opt-numpy-integer": lambda: q.corrmat_opt(EYE4, np.int64(2), 2),
+    "gm_unindex-numpy-integer": lambda: q.gm_unindex(3, np.int64(2)),
 }
 
 
@@ -123,6 +138,20 @@ ACCEPTED = {
 def test_rejected_with_value_error(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize(
+    "case,value",
+    [
+        ("corrmat_opt-integral-float", "2.0"),
+        ("werner_sweep-float-wsteps", "5.0"),
+        ("gm_unindex-float-index", "2.0"),
+        ("gellmann-float-label", "1.0"),
+    ],
+)
+def test_integer_rule_names_the_value(case, value):
+    with pytest.raises(ValueError, match=rf"must be an integer, got {value}$"):
+        REJECTED[case]()
 
 
 @pytest.mark.parametrize("call", ACCEPTED.values(), ids=ACCEPTED.keys())
