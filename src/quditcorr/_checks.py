@@ -13,18 +13,22 @@ from __future__ import annotations
 import numpy as np
 
 
-def _below_floor(ds: tuple, floor: int) -> ValueError:
+def _below_floor(ds: tuple, floor: int, name: str = "dimension") -> ValueError:
     got = ds[0] if len(ds) == 1 else ds
-    return ValueError(f"dimension must be >= {floor}, got {got}")
+    return ValueError(f"{name} must be >= {floor}, got {got}")
 
 
-def dims(*ds: int, floor: int = 2) -> None:
-    """Every dimension in ds is an int or a numpy integer (not a bool) of at least floor."""
+def dims(*ds: int, floor: int = 2, name: str = "dimension") -> None:
+    """Every value in ds is an int or a numpy integer (not a bool) of at least floor.
+
+    The error calls the value a ``name``: a dimension unless the caller
+    checks some other integer, such as a grid size or a generator label.
+    """
     for d in ds:
         if type(d) is not int and not isinstance(d, np.integer):
-            raise ValueError(f"dimension must be an integer, got {d!r}")
+            raise ValueError(f"{name} must be an integer, got {d!r}")
     if min(ds) < floor:
-        raise _below_floor(ds, floor)
+        raise _below_floor(ds, floor, name)
 
 
 def square(a, stack: bool = True, floor: int = 0) -> np.ndarray:

@@ -10,18 +10,23 @@ positive-semidefinite matrix
     Xi_a = (2/(da^2 db)) (a a^t + (2/db) C C^t) = M M^t,
     M = sqrt(2/(da^2 db)) [a | sqrt(2/db) C],
 
-built from the side-a Bloch vector and the correlation matrix. As M M^t,
-Xi is exactly symmetric and goes to the eigensolver unchecked, which stops
-rotating at off-diagonal mass max(1e-13 ||Xi||_F, eps^2 P(rho_other)); the
-floor is quadratic in rho like Xi, so it scales with the input, and it
-skips a Xi of rounding noise (Werner, d w = 1). The ameliorated quantifier
-divides by the purity of the opposite marginal, D_hsa = D_hs / P(rho_b),
-read from its Bloch vector as P(rho_b) = (Tr rho)^2/db + 2 |b|^2/db^2 with
-no partial trace. Appending a local ancilla sigma to the unmeasured side
-(rho x sigma) multiplies D_hs by P(sigma) and leaves D_hsa unchanged
-(Piani, PRA 86, 034101); that invariance is what the rescaling is for.
-Side b mirrors side a with C^t C in place of C C^t. Both values vanish
-exactly on classical-quantum states sum_j p_j |a_j><a_j| x rho_j.
+built from the side-a Bloch vector and the correlation matrix. M has db^2
+columns, so Xi has rank at most db^2, and the Gram M^t M has the same
+nonzero eigenvalues. The eigensolver gets the smaller Gram: M^t M when
+db^2 < da^2 - 1, Xi otherwise. Every reported eigenvalue of Xi after the
+first min(da^2 - 1, db^2) is then an exact zero. Either Gram is exactly
+symmetric as numpy forms it and goes to the solver unchecked, which stops
+rotating at off-diagonal mass max(1e-13 ||Xi||_F, eps^2 P(rho_other));
+both Grams have the same Frobenius norm. The floor is quadratic in rho
+like Xi, so it scales with the input, and it skips a Xi of rounding noise
+(Werner, d w = 1). The ameliorated quantifier divides by the purity of
+the opposite marginal, D_hsa = D_hs / P(rho_b), read from its Bloch vector
+as P(rho_b) = (Tr rho)^2/db + 2 |b|^2/db^2 with no partial trace.
+Appending a local ancilla sigma to the unmeasured side (rho x sigma)
+multiplies D_hs by P(sigma) and leaves D_hsa unchanged (Piani, PRA 86,
+034101); that invariance is what the rescaling is for. Side b mirrors
+side a with C^t C in place of C C^t. Both values vanish exactly on
+classical-quantum states sum_j p_j |a_j><a_j| x rho_j.
 
 The variational definition of the Hilbert-Schmidt discord (a minimum over
 classical-quantum states) is not solved here; the closed-form eigenvalue
@@ -60,8 +65,11 @@ __all__ = [
 class DiscordReport:
     """Eigenvalues of Xi plus both discord values for one side.
 
-    hs_value is the eigenvalue tail sum (clamped at zero), purity_other the
-    purity of the untouched marginal, and hsa_value = hs_value/purity_other.
+    xi_eigenvalues has d_side^2 - 1 entries. The eigensolver gets M^t M, not
+    Xi = M M^t, when d_other^2 < d_side^2 - 1, and every entry after the
+    first min(d_side^2 - 1, d_other^2) is then an exact zero. hs_value is
+    the eigenvalue tail sum (clamped at zero), purity_other the purity of
+    the untouched marginal, and hsa_value = hs_value/purity_other.
     For one state the values are floats and xi_eigenvalues is 1-D; for a
     stack of states they are arrays shaped like the stack's leading axes,
     and xi_eigenvalues has one more axis.
@@ -81,6 +89,18 @@ def purity(rho_s) -> float | np.ndarray:
     return float(p) if p.ndim == 0 else p
 
 
+def _m_matrix(vec, c, d_other: int) -> np.ndarray:
+    """M = sqrt(2/(d^2 d_other)) [a | sqrt(2/d_other) C], so that Xi = M M^t.
+
+    d^2 = len(a) + 1; the inputs are not checked.
+    """
+    scale = np.sqrt(2.0 / ((vec.shape[-1] + 1) * d_other))
+    m = np.empty((*c.shape[:-1], c.shape[-1] + 1))
+    np.multiply(vec, scale, out=m[..., 0])
+    np.multiply(c, scale * np.sqrt(2.0 / d_other), out=m[..., 1:])
+    return m
+
+
 def xi_matrix(a, c, d_other: int) -> np.ndarray:
     """Xi = (2/(d^2 d_other)) (a a^t + (2/d_other) C C^t) = M M^t for the side owning a.
 
@@ -95,11 +115,8 @@ def xi_matrix(a, c, d_other: int) -> np.ndarray:
     _checks.dims(d_other)
     if c.ndim != a.ndim + 1 or c.shape[-2:] != (n, d_other * d_other - 1):
         raise ValueError(f"correlation matrix shape {c.shape} does not match dims ({d}, {d_other})")
-    # M = sqrt(2/(d^2 d_other)) [a | sqrt(2/d_other) C]; numpy makes M M^t exactly symmetric.
-    scale = np.sqrt(2.0 / (d * d * d_other))
-    m = np.empty((*c.shape[:-1], c.shape[-1] + 1))
-    np.multiply(a, scale, out=m[..., 0])
-    np.multiply(c, scale * np.sqrt(2.0 / d_other), out=m[..., 1:])
+    m = _m_matrix(a, c, d_other)
+    # numpy makes M M^t exactly symmetric.
     return m @ np.swapaxes(m, -1, -2)
 
 
@@ -121,7 +138,17 @@ def discord_hs(rho, da: int, db: int, side: str = "a") -> DiscordReport:
     t = np.trace(rho, axis1=-2, axis2=-1).real
     pur = t * t / d_other + 2.0 * np.vecdot(s, s) / d_other**2
     pur = float(pur) if pur.ndim == 0 else pur
-    lam = _eig_sym(xi_matrix(vec, c, d_other), np.finfo(float).eps ** 2 * pur)
+    m = _m_matrix(vec, c, d_other)
+    mt = np.swapaxes(m, -1, -2)
+    floor = np.finfo(float).eps ** 2 * pur
+    rank = d_other * d_other
+    if rank < d_side * d_side - 1:
+        # M^t M is the smaller Gram: it has Xi's nonzero eigenvalues and the
+        # same Frobenius norm, and Xi's other eigenvalues are zero.
+        lam = np.zeros(m.shape[:-1])
+        lam[..., :rank] = _eig_sym(mt @ m, floor)
+    else:
+        lam = _eig_sym(m @ mt, floor)
     # Tail sum over positions d_side..d_side^2-1 (1-based); noise can leave
     # it a hair negative, so clamp.
     tail = lam[..., d_side - 1 :].sum(axis=-1)
@@ -155,7 +182,8 @@ def werner_sweep(
     if wsteps < 2:
         raise ValueError(f"wsteps must be >= 2, got {wsteps}")
     # All three past the floors above, so this applies only the integer rule.
-    _checks.dims(dmin, dmax, wsteps)
+    _checks.dims(dmin, dmax)
+    _checks.dims(wsteps, name="wsteps")
     grid = np.linspace(-1.0, 1.0, wsteps)
     rows = []
     for d in range(dmin, dmax + 1):

@@ -66,11 +66,11 @@ def _validate(dim: int, group: int, k: int, l: int) -> None:
     if group == DIAGONAL:
         if not 1 <= k <= dim - 1:
             raise ValueError(f"diagonal index k={k} out of range 1..{dim - 1}")
-        _checks.dims(group, k, floor=1)
+        _checks.dims(group, k, floor=1, name="label")
     elif group in (SYMMETRIC, ANTISYMMETRIC):
         if not 1 <= k < l <= dim:
             raise ValueError(f"pair (k,l)=({k},{l}) must satisfy 1 <= k < l <= {dim}")
-        _checks.dims(group, k, l, floor=1)
+        _checks.dims(group, k, l, floor=1, name="label")
     else:
         raise ValueError(f"group must be 1, 2, or 3, got {group}")
 
@@ -110,7 +110,7 @@ def gm_unindex(dim: int, j: int) -> GellMannSpec:
     _checks.dims(dim)
     if not 1 <= j <= dim * dim - 1:
         raise ValueError(f"flat index {j} out of range 1..{dim * dim - 1}")
-    _checks.dims(j, floor=1)
+    _checks.dims(j, floor=1, name="flat index")
     if j < dim:
         return GellMannSpec(dim, DIAGONAL, j)
     # After the dim-1 diagonal slots, each pair group lists every pair once.

@@ -18,6 +18,7 @@ from quditcorr import (
     werner_state,
     xi_matrix,
 )
+from quditcorr.discord import _m_matrix
 from quditcorr.linalg import _eig_sym
 
 from conftest import isotropic_state, random_pure_state
@@ -107,19 +108,24 @@ class TestDiscordHs:
 
     @staticmethod
     def _composed(rho, da, db, side):
-        """The report's fields through the public functions and the solver at discord's floor.
+        """The report's fields through M, its smaller Gram and the solver at discord's floor.
 
         The untouched marginal's purity is (Tr rho)^2/d + 2|s|^2/d^2, s its Bloch vector.
+        Xi = M M^t is solved as M^t M when that is smaller, and zeros fill its other values.
         """
         c = corrmat_opt(rho, da, db)
         vec = bloch_of_subsystem(rho, da, db, side)
         if side == "a":
-            xi, d_side, d_other, other = xi_matrix(vec, c, db), da, db, "b"
+            m, d_side, d_other, other = _m_matrix(vec, c, db), da, db, "b"
         else:
-            xi, d_side, d_other, other = xi_matrix(vec, np.swapaxes(c, -1, -2), da), db, da, "a"
+            m, d_side, d_other, other = _m_matrix(vec, np.swapaxes(c, -1, -2), da), db, da, "a"
         s, t = bloch_of_subsystem(rho, da, db, other), np.trace(rho, axis1=-2, axis2=-1).real
         pur = t * t / d_other + 2.0 * np.vecdot(s, s) / d_other**2
-        lam = _eig_sym(xi, np.finfo(float).eps ** 2 * pur)
+        mt = np.swapaxes(m, -1, -2)
+        gram = mt @ m if d_other**2 < d_side**2 - 1 else m @ mt
+        lam = _eig_sym(gram, np.finfo(float).eps ** 2 * pur)
+        zeros = np.zeros((*lam.shape[:-1], d_side**2 - 1 - lam.shape[-1]))
+        lam = np.concatenate((lam, zeros), axis=-1)
         return lam, np.maximum(0.0, lam[..., d_side - 1 :].sum(axis=-1)), pur
 
     @pytest.mark.parametrize("side", ["a", "b"])
@@ -148,7 +154,48 @@ class TestRankBound:
     def test_tail_vanishes(self, da, db, side, cq):
         for state_seed in range(10):
             rho = random_cq_state(da, db, state_seed) if cq else random_density(da * db, state_seed)
-            assert discord_hs(rho, da, db, side).hs_value <= 1e-14
+            assert discord_hs(rho, da, db, side).hs_value == 0.0
+
+
+class TestSmallerGram:
+    # When d_other^2 < d_side^2 - 1 the solver gets M^t M in place of Xi = M M^t:
+    # the same nonzero eigenvalues, and Xi's other d_side^2 - 1 - d_other^2 are zero.
+    CASES = [(2, 5, "b"), (5, 2, "a"), (2, 3, "b"), (3, 4, "b"), (4, 3, "a")]
+
+    @staticmethod
+    def _inputs(da, db):
+        n = da * db
+        full = np.stack([random_density(n, 80 + s) for s in range(4)])
+        return [full[0], full[1], full.reshape(2, 2, n, n)]
+
+    @staticmethod
+    def _m_and_xi(rho, da, db, side):
+        """M and Xi of the measured side, and the unmeasured side's dimension."""
+        c = corrmat_opt(rho, da, db)
+        vec = bloch_of_subsystem(rho, da, db, side)
+        if side == "b":
+            c, db = np.swapaxes(c, -1, -2), da
+        return _m_matrix(vec, c, db), xi_matrix(vec, c, db), db
+
+    @pytest.mark.parametrize("da,db,side", CASES)
+    def test_leading_values_match_xi(self, da, db, side):
+        for rho in self._inputs(da, db):
+            _, xi, d_other = self._m_and_xi(rho, da, db, side)
+            lam = discord_hs(rho, da, db, side).xi_eigenvalues
+            rank = d_other**2
+            assert lam.shape == xi.shape[:-1]
+            ref = np.linalg.eigvalsh(xi)[..., ::-1][..., :rank]
+            tol = 1e-14 * np.linalg.norm(xi, axis=(-2, -1))[..., None]
+            assert np.all(np.abs(lam[..., :rank] - ref) <= tol)
+            assert np.all(lam[..., rank:] == 0.0)
+
+    @pytest.mark.parametrize("da,db,side", CASES)
+    def test_solved_gram_exactly_symmetric(self, da, db, side):
+        for rho in self._inputs(da, db):
+            m, _, d_other = self._m_and_xi(rho, da, db, side)
+            gram = np.swapaxes(m, -1, -2) @ m
+            assert gram.shape[-2:] == (d_other**2, d_other**2)
+            assert np.array_equal(gram, np.swapaxes(gram, -1, -2))
 
 
 class TestDiscordHsa:

@@ -141,16 +141,19 @@ def test_rejected_with_value_error(call):
 
 
 @pytest.mark.parametrize(
-    "case,value",
+    "case,noun,value",
     [
-        ("corrmat_opt-integral-float", "2.0"),
-        ("werner_sweep-float-wsteps", "5.0"),
-        ("gm_unindex-float-index", "2.0"),
-        ("gellmann-float-label", "1.0"),
+        pytest.param(case, noun, value, id=f"{case}-{value}")
+        for case, noun, value in [
+            ("corrmat_opt-integral-float", "dimension", "2.0"),
+            ("werner_sweep-float-wsteps", "wsteps", "5.0"),
+            ("gm_unindex-float-index", "flat index", "2.0"),
+            ("gellmann-float-label", "label", "1.0"),
+        ]
     ],
 )
-def test_integer_rule_names_the_value(case, value):
-    with pytest.raises(ValueError, match=rf"must be an integer, got {value}$"):
+def test_integer_rule_names_the_value(case, noun, value):
+    with pytest.raises(ValueError, match=rf"^{noun} must be an integer, got {value}$"):
         REJECTED[case]()
 
 
